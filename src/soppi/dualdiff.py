@@ -100,7 +100,3 @@ def clip(x, lo, hi):
             return Dual(hi, np.zeros_like(x.deriv))
         return x
     return np.clip(x, lo, hi)
-
-
-def value_of(x):
-    return x.value if isinstance(x, Dual) else x

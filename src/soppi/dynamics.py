@@ -245,16 +245,6 @@ class Pendulum(System):
         return np.broadcast_to(b, state.shape[:-1] + (2, 1)).copy()
 
 
-def step(system: System, state, control):
-    """Functional alias for ``system.step``."""
-    return system.step(state, control)
-
-
-def jacobians(system: System, state, control) -> Jacobians:
-    """Functional alias for ``system.jacobians``."""
-    return system.jacobians(state, control)
-
-
 def rollout(system: System, x0, controls, length: int | None = None):
     """Roll the system forward; returns ``(N+1, n)`` states including x0."""
     controls = np.asarray(controls, dtype=float)

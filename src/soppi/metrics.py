@@ -6,8 +6,7 @@ time falls within the first 75% of the record, so truncated logs cannot fake
 convergence.  Non-convergence is a value (None), not an error, and summary
 statistics exclude non-converged trials while reporting their count.
 
-The Student-t CDF used by the Welch test is computed from the regularized
-incomplete beta function via a Lentz continued fraction (1e-12 threshold).
+The Student-t CDF used by the Welch test is ``scipy.special.stdtr``.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import stdtr
 
 from .cost import wrap_angle
 
@@ -105,61 +105,11 @@ def settling_time(record: TrialRecord,
     return float(record.times[settle])
 
 
-def _betainc_cf(a: float, b: float, x: float, tol=1e-12, max_iter=500) -> float:
-    """Continued fraction for the regularized incomplete beta I_x(a, b)."""
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    tiny = 1e-300
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        num = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            break
-    return math.exp(ln_front) * h / a
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    # Use the symmetry relation on whichever side converges fast.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return _betainc_cf(a, b, x)
-    return 1.0 - _betainc_cf(b, a, 1.0 - x)
-
-
 def student_t_cdf(t: float, dof: float) -> float:
     """P(T <= t) for Student's t with (possibly fractional) dof."""
     if dof <= 0:
         raise ValueError("dof must be positive")
-    x = dof / (dof + t * t)
-    tail = 0.5 * _betainc(0.5 * dof, 0.5, x)
-    return 1.0 - tail if t >= 0 else tail
+    return float(stdtr(dof, t))
 
 
 def welch_t_test_one_tailed(group_a, group_b):

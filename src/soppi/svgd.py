@@ -110,19 +110,32 @@ def kernel_grad_wrt_first(v_a, v_b, sigma_k: float,
     return -diff / (2.0 * s2 * d) * math.exp(-d / (2.0 * s2))
 
 
-_TRIU_CACHE: dict[int, tuple] = {}
-
-
 def median_bandwidth(particles: np.ndarray) -> float:
-    """Median-pairwise heuristic: 2 sigma_k^2 = median(d^2) / log K."""
+    """Median-pairwise heuristic: 2 sigma_k^2 = median(d^2) / log K.
+
+    The median runs over the n = K(K-1)/2 distinct pairs, but is read off
+    the full K x K squared-distance matrix with one partition.  Its diagonal
+    is exactly 0 and it is bitwise symmetric ((a-b)^2 == (b-a)^2, summed in
+    the same order), so sorted it holds K zeros and then every pair value
+    twice: pair order statistic r sits at index K + 2r.  The result is
+    bitwise equal to ``np.median`` over the upper triangle.  Any non-finite
+    particle gives NaN.
+    """
     particles = np.ascontiguousarray(particles, dtype=float)
     K = particles.shape[0]
     if K < 2:
         return 1.0
-    d2 = np.sum((particles[:, None, :] - particles[None, :, :]) ** 2, axis=-1)
-    if K not in _TRIU_CACHE:
-        _TRIU_CACHE[K] = np.triu_indices(K, k=1)
-    med = float(np.median(d2[_TRIU_CACHE[K]]))
+    if not np.isfinite(particles).all():
+        return math.nan
+    d2 = np.sum((particles[:, None, :] - particles[None, :, :]) ** 2,
+                axis=-1).ravel()
+    n = K * (K - 1) // 2
+    kth = K + 2 * (n // 2)
+    d2.partition(kth)
+    med = float(d2[kth])
+    if n % 2 == 0:
+        # Lower middle pair value is the largest entry left of kth.
+        med = (float(d2[:kth].max()) + med) / 2.0
     if med <= 0.0:
         return 1.0
     return math.sqrt(med / (2.0 * math.log(K)))

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -214,15 +215,36 @@ class TestRepulsionProperty:
         assert moved.particles[1, 0] - moved.particles[0, 0] > gap
 
 
+def _median_bandwidth_reference(p):
+    """The definition: np.median over the upper triangle of pair d^2."""
+    K = p.shape[0]
+    d2 = [np.sum((p[i] - p[j]) ** 2)
+          for i in range(K) for j in range(i + 1, K)]
+    med = float(np.median(d2))
+    return 1.0 if med <= 0.0 else math.sqrt(med / (2.0 * math.log(K)))
+
+
 def test_median_bandwidth_matches_definition():
+    # K = 2, 3 give odd pair counts, K = 4, 5, 64, 128 even ones.
     rng = np.random.default_rng(0)
-    p = rng.normal(size=(30, 2))
-    d2 = []
-    for i in range(30):
-        for j in range(i + 1, 30):
-            d2.append(np.sum((p[i] - p[j]) ** 2))
-    expected = math.sqrt(np.median(d2) / (2.0 * math.log(30)))
-    assert median_bandwidth(p) == pytest.approx(expected, rel=1e-12)
+    for K, m in itertools.product([2, 3, 4, 5, 64, 128], [1, 2, 3]):
+        cases = {
+            "normal": rng.normal(size=(K, m)),
+            "coincident": np.repeat(rng.normal(size=((K + 1) // 2, m)),
+                                    2, axis=0)[:K],
+            "integer": rng.integers(-2, 3, size=(K, m)).astype(float),
+        }
+        for name, p in cases.items():
+            assert median_bandwidth(p) == _median_bandwidth_reference(p), \
+                (K, m, name)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("K", [2, 5, 64])
+def test_median_bandwidth_non_finite_particle_gives_nan(K, bad):
+    p = np.random.default_rng(K).normal(size=(K, 2))
+    p[K // 2, 1] = bad
+    assert math.isnan(median_bandwidth(p))
 
 
 def test_median_bandwidth_degenerate_cases():

@@ -8,9 +8,10 @@ output directory, so run this once up front to keep the test suite fast:
 
     python3 scripts/run_cartpole_benchmark.py --out results/cartpole_benchmark
 
-Expect tens of minutes of wall time on a single core; the SVGD refinement
-dominates.  Pass --trials/--seed to shrink or reseed the battery (the
-acceptance tests only reuse runs made with the default settings).
+Expect about 35 minutes of wall time on a 2-vCPU machine at the default
+--workers 1; the SVGD refinement dominates.  Pass --trials/--seed to shrink
+or reseed the battery (the acceptance tests only reuse runs made with the
+default settings).
 """
 
 import argparse

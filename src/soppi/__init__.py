@@ -12,16 +12,16 @@ from .dynamics import (CartPole, CartPoleParams, DoubleIntegrator, Jacobians,
 from .metrics import (SettlingCriterion, TrialRecord, mse, settling_time,
                       summarize, welch_t_test_one_tailed)
 from .sampling import NoiseTensor, SampleBatch, draw_noise, perturb
-from .svgd import (ParticleSet, SvgdConfig, apply_update, kernel,
-                   kernel_grad_wrt_first, median_bandwidth, stein_direction)
+from .svgd import (ParticleSet, SvgdConfig, kernel, kernel_grad_wrt_first,
+                   median_bandwidth, stein_direction)
 
 __all__ = [
     "CartPole", "CartPoleParams", "ControllerConfig", "CostSpec",
     "DoubleIntegrator", "Jacobians", "NoiseTensor", "ParticleSet",
     "Pendulum", "SampleBatch", "SettlingCriterion", "StepResult",
-    "SvgdConfig", "System", "TrialRecord", "apply_update",
-    "compute_weights", "cost_to_go", "draw_noise", "evaluate_batch",
-    "kernel", "kernel_grad_wrt_first", "make_system", "median_bandwidth",
+    "SvgdConfig", "System", "TrialRecord", "compute_weights",
+    "cost_to_go", "draw_noise", "evaluate_batch", "kernel",
+    "kernel_grad_wrt_first", "make_system", "median_bandwidth",
     "mppi_step", "mse", "perturb", "rollout", "run_episode",
     "running_cost", "running_cost_gradients", "settling_time",
     "soppi_step", "stein_direction", "summarize", "terminal_cost",

@@ -37,7 +37,6 @@ class ControllerConfig:
     sigma: float | np.ndarray = 10.0
     seed: int = 0
     svgd: SvgdConfig = field(default_factory=SvgdConfig)
-    terminal_init: str = "zero"
     terminal_init_fn: Callable | None = None
 
     def __post_init__(self):
@@ -47,10 +46,6 @@ class ControllerConfig:
             raise ValueError("horizon must be >= 1")
         if self.lambda_ <= 0:
             raise ValueError("lambda must be positive")
-        if self.terminal_init not in ("zero", "ppo-hook"):
-            raise ValueError("terminal_init must be 'zero' or 'ppo-hook'")
-        if self.terminal_init == "ppo-hook" and self.terminal_init_fn is None:
-            raise ValueError("terminal_init='ppo-hook' needs terminal_init_fn")
 
 
 @dataclass(frozen=True)
@@ -120,24 +115,35 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
     Every sweep recomputes the one-step lookahead and pushes each particle
     along the Stein direction of the single-step running cost; after the
     sweeps the sample states advance one step with the refined controls.
+    Samples whose gradient is non-finite (a diverged rollout) are left out
+    of the Stein set and stay where they are; evaluate_batch then gives them
+    infinite cost, as in MPPI.
     """
     svgd_cfg = cfg.svgd
     K, N, m = controls.shape
     refined = controls.copy()
     x = np.broadcast_to(np.asarray(x0, dtype=float),
                         (K, system.state_dim)).copy()
-    for t in range(N):
-        v = refined[:, t, :]
-        for _ in range(svgd_cfg.iterations):
-            x_next = system.step_unchecked(x, v)
-            d_state, d_control = cost_mod.running_cost_gradients(
-                spec, x_next, v, t)
-            b = system.control_jacobian(x, v)          # (K, n, m)
-            grads = np.einsum("knm,kn->km", b, d_state) + d_control
-            phi = stein_direction(ParticleSet(v, grads), svgd_cfg)
-            v = v + svgd_cfg.step_size * phi
-        refined[:, t, :] = v
-        x = system.step_unchecked(x, v)
+    with np.errstate(all="ignore"):
+        for t in range(N):
+            v = refined[:, t, :]
+            for _ in range(svgd_cfg.iterations):
+                x_next = system.step_unchecked(x, v)
+                d_state, d_control = cost_mod.running_cost_gradients(
+                    spec, x_next, v, t)
+                b = system.control_jacobian(x, v)          # (K, n, m)
+                grads = np.einsum("knm,kn->km", b, d_state) + d_control
+                # The common all-finite case skips the row mask and copies.
+                if np.isfinite(grads).all():
+                    phi = stein_direction(ParticleSet(v, grads), svgd_cfg)
+                    v = v + svgd_cfg.step_size * phi
+                else:
+                    ok = np.isfinite(grads).all(axis=1)
+                    phi = stein_direction(ParticleSet(v[ok], grads[ok]),
+                                          svgd_cfg)
+                    v[ok] += svgd_cfg.step_size * phi
+            refined[:, t, :] = v
+            x = system.step_unchecked(x, v)
     return refined
 
 
@@ -187,8 +193,9 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
     """Receding-horizon episode of n_steps environment steps.
 
     Applies the first nominal control to the true dynamics each step, then
-    shifts the nominal left, appending zero (or the terminal-init hook's
-    output).  Wall time per controller step is recorded.
+    shifts the nominal left, appending zero, or the output of
+    cfg.terminal_init_fn when it is set.  Wall time per controller step is
+    recorded.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -203,7 +210,7 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
         t0 = time.perf_counter()
         res = stepper(system, spec, cfg, x, U,
                       step_seed=sampling.derive_step_seed(cfg.seed, i))
-        if cfg.terminal_init == "ppo-hook":
+        if cfg.terminal_init_fn is not None:
             tail_state = _nominal_tail_state(system, x, res.u_star)
             tail = np.asarray(cfg.terminal_init_fn(tail_state), dtype=float)
             tail = tail.reshape(system.control_dim)

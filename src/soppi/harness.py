@@ -110,13 +110,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     svgd_sec = dict(raw.get("svgd", {}))
     _reject_unknown(svgd_sec, {"step_size", "iterations", "bandwidth",
-                               "alpha", "use_squared_norm", "grad_clip"},
-                    "svgd")
+                               "alpha"}, "svgd")
     svgd_cfg = SvgdConfig(**svgd_sec)
 
     ctrl_sec = dict(raw["controller"])
-    _reject_unknown(ctrl_sec, {"K", "horizon", "lambda", "sigma", "seed",
-                               "terminal_init"}, "controller")
+    _reject_unknown(ctrl_sec, {"K", "horizon", "lambda", "sigma", "seed"},
+                    "controller")
     if "lambda" in ctrl_sec:
         ctrl_sec["lambda_"] = ctrl_sec.pop("lambda")
     controller = ControllerConfig(svgd=svgd_cfg, **ctrl_sec)

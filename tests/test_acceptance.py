@@ -3,11 +3,11 @@
 Each test here is one release gate; the pytest -v line for each function is
 the pass/fail record.  The two cart-pole benchmark gates share a full-scale
 run (K=500, horizon 80, 5 SVGD sweeps, 5 paired seeds, 20 s episodes).  That
-run takes tens of minutes on one core, so the shared fixture reuses the
-output of scripts/run_cartpole_benchmark.py when a complete, matching
-results directory exists (default results/cartpole_benchmark, overridable
-via the SOPPI_BENCHMARK_DIR environment variable) and only recomputes it
-from scratch when it must.
+run takes about 35 minutes serially on 2 vCPUs, so the shared fixture
+reuses the output of scripts/run_cartpole_benchmark.py when a complete,
+matching results directory exists (default results/cartpole_benchmark,
+overridable via the SOPPI_BENCHMARK_DIR environment variable) and only
+recomputes it from scratch when it must.
 """
 
 import copy
@@ -185,7 +185,7 @@ def test_cartpole_swingup_settles_with_no_divergence(benchmark_records):
     wall = sum(float(np.sum(r.step_wall_times))
                for recs in benchmark_records.values() for r in recs)
     print(f"\nbenchmark controller wall time: {wall / 60:.1f} min "
-          "(15 min desktop target; this box has a single core)")
+          "(15 min desktop target; about 35 min serially on 2 vCPUs)")
 
 
 def test_refined_sampler_beats_baseline_directionally(benchmark_records):

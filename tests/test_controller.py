@@ -5,6 +5,7 @@ from soppi import ControllerConfig, CostSpec, DoubleIntegrator, SvgdConfig, \
     compute_weights, cost_to_go, evaluate_batch, mppi_step, rollout, \
     run_episode, soppi_step, update_nominal
 from soppi.sampling import draw_noise, perturb
+from soppi.controller import _refine_controls
 
 
 @pytest.fixture
@@ -193,6 +194,42 @@ class TestSoppiStep:
         assert not np.array_equal(a.refined_batch.controls,
                                   b.refined_batch.controls)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diverged_samples_get_infinite_cost_not_an_error(
+            self, cartpole, cartpole_cost, seed):
+        # sigma=5000 throws some cart-pole rollouts out of the finite range;
+        # SOPPI must carry on as MPPI does, and leak no RuntimeWarning.
+        cfg = ControllerConfig(
+            K=64, horizon=80, lambda_=1.0, sigma=5000.0, seed=seed,
+            svgd=SvgdConfig(iterations=5, step_size=0.2, bandwidth=5.0,
+                            alpha=10.0))
+        x0 = np.array([0.0, 0.0, np.pi, 0.0])
+        U = np.zeros((80, 1))
+        plain = mppi_step(cartpole, cartpole_cost, cfg, x0, U)
+        assert np.isinf(plain.costs).any()
+        res = soppi_step(cartpole, cartpole_cost, cfg, x0, U)
+        diverged = np.isinf(res.costs)
+        assert diverged.any() and not diverged.all()
+        np.testing.assert_array_equal(res.weights[diverged], 0.0)
+        assert np.all(np.isfinite(res.u_star))
+
+    def test_nonfinite_gradient_rows_stay_put(self, di, di_cost):
+        # An infinite control makes sample 3's gradient non-finite at every
+        # step: it keeps its controls, and the others refine exactly as if
+        # it were absent.
+        cfg = ControllerConfig(
+            K=8, horizon=4, lambda_=1.0, sigma=1.0,
+            svgd=SvgdConfig(iterations=2, bandwidth=1.0))
+        controls = np.random.default_rng(0).normal(size=(8, 4, 1))
+        controls[3, 0, 0] = np.inf
+        x0 = np.array([1.0, 0.0])
+        refined = _refine_controls(di, di_cost, cfg, x0, controls)
+        keep = np.arange(8) != 3
+        np.testing.assert_array_equal(refined[3], controls[3])
+        np.testing.assert_array_equal(
+            refined[keep],
+            _refine_controls(di, di_cost, cfg, x0, controls[keep]))
+
 
 class TestRunEpisode:
     def test_record_shapes_and_time_grid(self, di, di_cost):
@@ -240,7 +277,7 @@ class TestRunEpisode:
             return np.array([0.123])
 
         cfg = ControllerConfig(K=8, horizon=4, lambda_=1.0, sigma=1.0,
-                               terminal_init="ppo-hook", terminal_init_fn=hook)
+                               terminal_init_fn=hook)
         run_episode(di, di_cost, cfg, np.zeros(2), "mppi", 3)
         assert len(calls) == 3
         assert all(c.shape == (2,) for c in calls)
@@ -253,7 +290,3 @@ def test_config_validation():
         ControllerConfig(horizon=0)
     with pytest.raises(ValueError):
         ControllerConfig(lambda_=0.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(terminal_init="net")
-    with pytest.raises(ValueError):
-        ControllerConfig(terminal_init="ppo-hook")

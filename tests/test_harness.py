@@ -52,7 +52,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("section,key", [
         (None, "extra"), ("system", "mass"), ("cost", "S"),
         ("controller", "gamma"), ("svgd", "kernel"),
-        ("experiment", "plot"),
+        ("experiment", "plot"), ("svgd", "use_squared_norm"),
+        ("svgd", "grad_clip"), ("controller", "terminal_init"),
     ])
     def test_unknown_keys_rejected(self, section, key):
         raw = tiny_config()

@@ -1,5 +1,4 @@
 import itertools
-import logging
 import math
 
 import numpy as np
@@ -7,22 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soppi import ParticleSet, SvgdConfig, apply_update, kernel, \
-    kernel_grad_wrt_first, median_bandwidth, stein_direction
+from soppi import ParticleSet, SvgdConfig, kernel, kernel_grad_wrt_first, \
+    median_bandwidth, stein_direction
 
 
-def naive_stein_reference(particles, grads, sigma_k, alpha,
-                          use_squared_norm=True):
+def naive_stein_reference(particles, grads, sigma_k, alpha):
     """Direct double-loop transcription of the update direction."""
     K, m = particles.shape
     out = np.zeros((K, m))
     for i in range(K):
         for j in range(K):
-            k = kernel(particles[j], particles[i], sigma_k, use_squared_norm)
-            kg = kernel_grad_wrt_first(particles[j], particles[i], sigma_k,
-                                       use_squared_norm)
+            k = kernel(particles[j], particles[i], sigma_k)
+            kg = kernel_grad_wrt_first(particles[j], particles[i], sigma_k)
             out[i] += k * (-alpha * grads[j]) + kg
     return out / K
+
+
+def blocked_1d_reference(p, g, sigma_k, alpha):
+    """The former scalar-control (m == 1) fast path, kept as a bitwise oracle.
+
+    p and g are (K,) vectors; returns (K, 1).
+    """
+    K = p.shape[0]
+    inv2s2 = 1.0 / (2.0 * sigma_k ** 2)
+    invs2 = 1.0 / sigma_k ** 2
+    neg_ag = -alpha * g
+    out = np.empty(K)
+    for start in range(0, K, 64):
+        stop = min(start + 64, K)
+        diff = np.subtract(p[None, :], p[start:stop, None])  # [i, j] = p_j - p_i
+        kmat = diff * diff
+        kmat *= -inv2s2
+        np.exp(kmat, out=kmat)
+        attract = kmat @ neg_ag
+        np.multiply(kmat, diff, out=diff)
+        out[start:stop] = attract - invs2 * diff.sum(axis=1)
+    return (out / K)[:, None]
 
 
 class TestKernel:
@@ -38,11 +57,6 @@ class TestKernel:
         # 1-D, a=0, b=2, sigma=1: exp(-4/2) = exp(-2)
         got = kernel(np.array([0.0]), np.array([2.0]), 1.0)
         assert got == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_unsquared_mode(self):
-        got = kernel(np.array([0.0]), np.array([2.0]), 1.0,
-                     use_squared_norm=False)
-        assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -68,27 +82,19 @@ class TestKernelGradient:
         assert got[0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("squared", [True, False])
-    def test_matches_finite_differences(self, seed, squared):
+    def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=3)
         b = rng.normal(size=3)
         sigma_k = rng.uniform(0.5, 2.0)
-        grad = kernel_grad_wrt_first(a, b, sigma_k, squared)
+        grad = kernel_grad_wrt_first(a, b, sigma_k)
         h = 1e-6
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (kernel(a + e, b, sigma_k, squared)
-                  - kernel(a - e, b, sigma_k, squared)) / (2 * h)
+            fd = (kernel(a + e, b, sigma_k)
+                  - kernel(a - e, b, sigma_k)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-    def test_unsquared_coincident_warns_and_returns_zero(self, caplog):
-        v = np.array([1.0])
-        with caplog.at_level(logging.WARNING, logger="soppi.svgd"):
-            got = kernel_grad_wrt_first(v, v, 1.0, use_squared_norm=False)
-        np.testing.assert_array_equal(got, np.zeros(1))
-        assert any("coincident" in r.message for r in caplog.records)
 
 
 class TestSteinDirection:
@@ -118,26 +124,28 @@ class TestSteinDirection:
         np.testing.assert_allclose(stein_direction(pset, cfg),
                                    -1.7 * grad, rtol=1e-12)
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_naive_reference(self, m):
+        # K = 70 spans two 64-row blocks.
         rng = np.random.default_rng(4)
-        p = rng.normal(size=(6, m))
-        g = rng.normal(size=(6, m))
         cfg = SvgdConfig(bandwidth=0.8, alpha=2.0)
-        got = stein_direction(ParticleSet(p, g), cfg)
-        np.testing.assert_allclose(
-            got, naive_stein_reference(p, g, 0.8, 2.0), rtol=1e-10,
-            atol=1e-12)
+        for K in (6, 70):
+            p = rng.normal(size=(K, m))
+            g = rng.normal(size=(K, m))
+            got = stein_direction(ParticleSet(p, g), cfg)
+            np.testing.assert_allclose(
+                got, naive_stein_reference(p, g, 0.8, 2.0), rtol=1e-10,
+                atol=1e-12, err_msg=f"K={K}")
 
-    def test_fast_1d_path_agrees_with_general(self):
-        rng = np.random.default_rng(7)
-        p = rng.normal(size=(200, 1))
-        g = rng.normal(size=(200, 1))
+    @pytest.mark.parametrize("K", [1, 2, 63, 64, 65, 128, 129, 500, 777])
+    def test_scalar_controls_match_blocked_1d_loop_bitwise(self, K):
+        rng = np.random.default_rng(K)
+        p = rng.normal(size=(K, 1)) * 3.0
+        g = rng.normal(size=(K, 1)) * 10.0
         cfg = SvgdConfig(bandwidth=1.2, alpha=1.5)
-        from soppi.svgd import _direction_general
-        fast = stein_direction(ParticleSet(p, g), cfg)
-        general = _direction_general(p, g, 1.2, 1.5, True)
-        np.testing.assert_allclose(fast, general, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(
+            stein_direction(ParticleSet(p, g), cfg),
+            blocked_1d_reference(p[:, 0], g[:, 0], 1.2, 1.5))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -166,53 +174,18 @@ class TestSteinDirection:
             stein_direction(ParticleSet(np.zeros((3, 1)), g),
                             SvgdConfig(bandwidth=1.0))
 
-    def test_grad_clip_limits_norm(self):
-        p = np.array([[0.0], [0.1]])
-        g = np.array([[100.0], [100.0]])
-        cfg = SvgdConfig(bandwidth=1.0, alpha=1.0, grad_clip=0.5)
-        out = stein_direction(ParticleSet(p, g), cfg)
-        assert np.all(np.linalg.norm(out, axis=1) <= 0.5 + 1e-12)
-
-
-class TestApplyUpdate:
-    def test_zero_direction_unchanged(self):
-        pset = ParticleSet(np.array([[1.0], [2.0]]))
-        out = apply_update(pset, np.zeros((2, 1)), 0.05)
-        np.testing.assert_array_equal(out.particles, pset.particles)
-
-    def test_unit_direction_shifts_by_step(self):
-        pset = ParticleSet(np.zeros((3, 2)))
-        out = apply_update(pset, np.ones((3, 2)), 0.05)
-        np.testing.assert_allclose(out.particles, 0.05 * np.ones((3, 2)))
-
-    def test_composition_linearity(self):
-        rng = np.random.default_rng(1)
-        pset = ParticleSet(rng.normal(size=(4, 1)))
-        d1 = rng.normal(size=(4, 1))
-        d2 = rng.normal(size=(4, 1))
-        twice = apply_update(apply_update(pset, d1, 0.1), d2, 0.1)
-        once = apply_update(pset, d1 + d2, 0.1)
-        np.testing.assert_allclose(twice.particles, once.particles,
-                                   rtol=1e-12)
-
-    def test_input_not_modified(self):
-        p = np.ones((2, 1))
-        pset = ParticleSet(p.copy())
-        apply_update(pset, np.ones((2, 1)), 1.0)
-        np.testing.assert_array_equal(pset.particles, p)
-
 
 class TestRepulsionProperty:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.1, 3.0), st.floats(0.5, 2.0))
     def test_distinct_particles_move_apart(self, gap, sigma_k):
-        # Squared-norm mode, zero cost gradients, step < sigma^2.
+        # Zero cost gradients, step < sigma^2.
         p = np.array([[0.0], [gap]])
         cfg = SvgdConfig(bandwidth=sigma_k, step_size=0.4 * sigma_k ** 2,
                          iterations=1)
         direction = stein_direction(ParticleSet(p, np.zeros((2, 1))), cfg)
-        moved = apply_update(ParticleSet(p), direction, cfg.step_size)
-        assert moved.particles[1, 0] - moved.particles[0, 0] > gap
+        moved = p + cfg.step_size * direction
+        assert moved[1, 0] - moved[0, 0] > gap
 
 
 def _median_bandwidth_reference(p):

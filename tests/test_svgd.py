@@ -81,7 +81,10 @@ class TestKernelGradient:
         got = kernel_grad_wrt_first(np.array([0.0]), np.array([2.0]), 1.0)
         assert got[0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
 
-    @pytest.mark.parametrize("seed", range(10))
+    # The ids keep their earlier "True-" prefix (squared norm), from when an
+    # unsquared variant was checked beside it, so results stay comparable.
+    @pytest.mark.parametrize("seed", range(10),
+                             ids=[f"True-{s}" for s in range(10)])
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=3)

@@ -115,9 +115,8 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
     Every sweep recomputes the one-step lookahead and pushes each particle
     along the Stein direction of the single-step running cost; after the
     sweeps the sample states advance one step with the refined controls.
-    Samples whose gradient is non-finite (a diverged rollout) are left out
-    of the Stein set and stay where they are; evaluate_batch then gives them
-    infinite cost, as in MPPI.
+    A sample whose gradient is non-finite (a diverged rollout) is left out
+    of that sweep's Stein set and is not moved by it.
     """
     svgd_cfg = cfg.svgd
     K, N, m = controls.shape
@@ -126,22 +125,16 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
                         (K, system.state_dim)).copy()
     with np.errstate(all="ignore"):
         for t in range(N):
-            v = refined[:, t, :]
+            v = refined[:, t, :].copy()        # contiguous for the sweeps
             for _ in range(svgd_cfg.iterations):
                 x_next = system.step_unchecked(x, v)
                 d_state, d_control = cost_mod.running_cost_gradients(
                     spec, x_next, v, t)
                 b = system.control_jacobian(x, v)          # (K, n, m)
                 grads = np.einsum("knm,kn->km", b, d_state) + d_control
-                # The common all-finite case skips the row mask and copies.
-                if np.isfinite(grads).all():
-                    phi = stein_direction(ParticleSet(v, grads), svgd_cfg)
-                    v = v + svgd_cfg.step_size * phi
-                else:
-                    ok = np.isfinite(grads).all(axis=1)
-                    phi = stein_direction(ParticleSet(v[ok], grads[ok]),
-                                          svgd_cfg)
-                    v[ok] += svgd_cfg.step_size * phi
+                ok = np.isfinite(grads).all(axis=1)
+                phi = stein_direction(ParticleSet(v[ok], grads[ok]), svgd_cfg)
+                v[ok] += svgd_cfg.step_size * phi
             refined[:, t, :] = v
             x = system.step_unchecked(x, v)
     return refined
@@ -177,7 +170,12 @@ def soppi_step(system: System, spec: CostSpec, cfg: ControllerConfig,
     batch = _draw_batch(cfg, system.control_dim, U_init, step_seed)
     if cfg.svgd.iterations > 0:
         refined = _refine_controls(system, spec, cfg, x0, batch.controls)
-        noise = sampling.NoiseTensor(values=refined - batch.base,
+        values = refined - batch.base
+        # A non-finite refined control has a non-finite control cost, so
+        # evaluate_batch gives it zero weight; zero its noise as well, or
+        # 0 * inf makes u_star NaN.
+        values[~np.isfinite(values)] = 0.0
+        noise = sampling.NoiseTensor(values=values,
                                      seed=batch.noises.seed,
                                      sigma=batch.noises.sigma)
         batch = sampling.SampleBatch(controls=refined, noises=noise,

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from soppi import ControllerConfig, CostSpec, DoubleIntegrator, SvgdConfig, \
     compute_weights, cost_to_go, evaluate_batch, mppi_step, rollout, \
     run_episode, soppi_step, update_nominal
 from soppi.sampling import draw_noise, perturb
+from soppi import controller as controller_mod
 from soppi.controller import _refine_controls
+from soppi.harness import DEFAULT_CARTPOLE_CONFIG, parse_config
 
 
 @pytest.fixture
@@ -211,6 +215,41 @@ class TestSoppiStep:
         diverged = np.isinf(res.costs)
         assert diverged.any() and not diverged.all()
         np.testing.assert_array_equal(res.weights[diverged], 0.0)
+        assert np.all(np.isfinite(res.u_star))
+
+    def test_mostly_diverged_step_stays_finite(self):
+        # The default cart-pole at K=128, sigma=2000, seed 0 diverges most
+        # samples during refinement; what is refined must stay finite.
+        raw = copy.deepcopy(DEFAULT_CARTPOLE_CONFIG)
+        raw["controller"].update(K=128, sigma=2000.0, seed=0)
+        c = parse_config(raw)
+        U = np.zeros((c.controller.horizon, 1))
+        res = soppi_step(c.system, c.cost_spec, c.controller, c.x0, U)
+        diverged = np.isinf(res.costs)
+        assert diverged.any() and not diverged.all()
+        assert np.all(np.isfinite(res.refined_batch.controls))
+        assert np.all(np.isfinite(res.u_star))
+        np.testing.assert_array_equal(res.weights[diverged], 0.0)
+
+    def test_nonfinite_refined_control_gets_zero_weight_and_noise(
+            self, di, di_cost, monkeypatch):
+        # A Stein step that sends the first particle of every set to inf:
+        # those samples drop out of the update instead of making u_star NaN
+        # through 0 * inf.
+        def push_first_to_inf(particles, svgd_cfg):
+            phi = np.zeros_like(particles.particles)
+            phi[0] = np.inf
+            return phi
+        monkeypatch.setattr(controller_mod, "stein_direction",
+                            push_first_to_inf)
+        cfg = ControllerConfig(K=8, horizon=4, lambda_=1.0, sigma=1.0,
+                               seed=5, svgd=SvgdConfig(iterations=1))
+        res = soppi_step(di, di_cost, cfg, np.array([1.0, 0.0]),
+                         np.zeros((4, 1)))
+        bad = ~np.isfinite(res.refined_batch.controls).all(axis=(1, 2))
+        assert bad[0] and not bad.all()
+        np.testing.assert_array_equal(res.weights[bad], 0.0)
+        assert np.all(np.isfinite(res.refined_batch.noises.values))
         assert np.all(np.isfinite(res.u_star))
 
     def test_nonfinite_gradient_rows_stay_put(self, di, di_cost):

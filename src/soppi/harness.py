@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
 import json
 import logging
 import math
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .controller import ControllerConfig, run_episode
@@ -148,6 +150,20 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
+def code_fingerprint() -> dict:
+    """sha256 of the package sources plus the numpy and scipy versions.
+
+    Recorded in the manifest so a run can be traced to the code that made
+    it.  It is not compared on reuse: an edit that leaves the numbers alone
+    changes the hash, so reuse is decided by replaying the run instead.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {"src_sha256": digest.hexdigest(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce the run bit for bit."""
@@ -159,12 +175,14 @@ class RunManifest:
     finished: str | None = None
     complete: bool = False
     record_files: dict = field(default_factory=dict)
+    fingerprint: dict = field(default_factory=code_fingerprint)
 
     def to_dict(self):
         return {"config": self.config, "version": self.version,
                 "trial_seeds": self.trial_seeds, "started": self.started,
                 "finished": self.finished, "complete": self.complete,
-                "record_files": self.record_files}
+                "record_files": self.record_files,
+                "fingerprint": self.fingerprint}
 
 
 def default_metrics(config: ExperimentConfig):

@@ -6,11 +6,13 @@ run (K=500, horizon 80, 5 SVGD sweeps, 5 paired seeds, 20 s episodes).  That
 run takes about 35 minutes serially on 2 vCPUs, so the shared fixture
 reuses the output of scripts/run_cartpole_benchmark.py when a complete,
 matching results directory exists (default results/cartpole_benchmark,
-overridable via the SOPPI_BENCHMARK_DIR environment variable) and only
-recomputes it from scratch when it must.
+overridable via the SOPPI_BENCHMARK_DIR environment variable) and the
+current code replays the first 25 steps of its trial 0 bitwise for every
+algorithm.  Otherwise it recomputes the run from scratch.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -141,6 +143,9 @@ def benchmark_config():
     return copy.deepcopy(harness.DEFAULT_CARTPOLE_CONFIG)
 
 
+CANARY_STEPS = 25
+
+
 def _existing_benchmark():
     manifest_path = BENCHMARK_DIR / "manifest.json"
     if not manifest_path.exists():
@@ -158,9 +163,34 @@ def _existing_benchmark():
     return records
 
 
+def _replays_bitwise():
+    """Whether the current code reproduces the stored run's opening steps.
+
+    Replays the first CANARY_STEPS steps of trial 0 of every algorithm and
+    compares states and controls bitwise with the stored CSVs (the 17-digit
+    CSV values round-trip exactly); wall_ms is timing and is left out.
+    """
+    config = harness.parse_config(benchmark_config())
+    cfg = dataclasses.replace(config.controller, seed=config.base_seed)
+    for algo in config.algos:
+        stored = harness.read_record_csv(BENCHMARK_DIR / f"{algo}_trial_0.csv")
+        replay = run_episode(config.system, config.cost_spec, cfg, config.x0,
+                             algo, CANARY_STEPS)
+        if not (np.array_equal(replay.states,
+                               stored.states[:CANARY_STEPS + 1])
+                and np.array_equal(replay.controls,
+                                   stored.controls[:CANARY_STEPS])):
+            print(f"\n{algo} trial 0 differs from {BENCHMARK_DIR} within "
+                  f"{CANARY_STEPS} steps; regenerating the benchmark run")
+            return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def benchmark_records():
     records = _existing_benchmark()
+    if records is not None and not _replays_bitwise():
+        records = None
     if records is None:
         config = harness.parse_config(benchmark_config())
         harness.run_experiment(config, BENCHMARK_DIR)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -37,7 +36,6 @@ class ControllerConfig:
     sigma: float | np.ndarray = 10.0
     seed: int = 0
     svgd: SvgdConfig = field(default_factory=SvgdConfig)
-    terminal_init_fn: Callable | None = None
 
     def __post_init__(self):
         if self.K < 1:
@@ -56,7 +54,6 @@ class StepResult:
     applied: np.ndarray       # (m,) first nominal control
     weights: np.ndarray       # (K,)
     costs: np.ndarray         # (K,)
-    min_cost: float
     refined_batch: sampling.SampleBatch
 
 
@@ -146,8 +143,7 @@ def _weight_and_update(system, spec, cfg, x0,
     weights = compute_weights(costs, cfg.lambda_)
     u_star = update_nominal(batch.base, batch.noises.values, weights)
     return StepResult(u_star=u_star, applied=u_star[0].copy(),
-                      weights=weights, costs=costs,
-                      min_cost=float(costs.min()), refined_batch=batch)
+                      weights=weights, costs=costs, refined_batch=batch)
 
 
 def _draw_batch(cfg: ControllerConfig, m: int, U_init,
@@ -191,9 +187,8 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
     """Receding-horizon episode of n_steps environment steps.
 
     Applies the first nominal control to the true dynamics each step, then
-    shifts the nominal left, appending zero, or the output of
-    cfg.terminal_init_fn when it is set.  Wall time per controller step is
-    recorded.
+    shifts the nominal left, appending zero.  Wall time per controller step
+    is recorded.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -208,15 +203,9 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
         t0 = time.perf_counter()
         res = stepper(system, spec, cfg, x, U,
                       step_seed=sampling.derive_step_seed(cfg.seed, i))
-        if cfg.terminal_init_fn is not None:
-            tail_state = _nominal_tail_state(system, x, res.u_star)
-            tail = np.asarray(cfg.terminal_init_fn(tail_state), dtype=float)
-            tail = tail.reshape(system.control_dim)
-        else:
-            tail = np.zeros(system.control_dim)
         wall.append(time.perf_counter() - t0)
         x = system.step(x, res.applied)
-        U = np.vstack([res.u_star[1:], tail[None, :]])
+        U = np.vstack([res.u_star[1:], np.zeros((1, system.control_dim))])
         states.append(x.copy())
         controls.append(res.applied.copy())
         times.append((i + 1) * system.dt)
@@ -225,10 +214,3 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
                        controls=np.asarray(controls),
                        step_wall_times=np.asarray(wall))
 
-
-def _nominal_tail_state(system, x0, u_star):
-    """State reached by rolling the nominal to its next-to-last step."""
-    x = np.asarray(x0, dtype=float)
-    for t in range(u_star.shape[0] - 1):
-        x = system.step(x, u_star[t])
-    return x

@@ -308,19 +308,6 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_episode(di, di_cost, cfg, np.zeros(2), "cem", 3)
 
-    def test_terminal_hook_is_used(self, di, di_cost):
-        calls = []
-
-        def hook(state):
-            calls.append(np.asarray(state).copy())
-            return np.array([0.123])
-
-        cfg = ControllerConfig(K=8, horizon=4, lambda_=1.0, sigma=1.0,
-                               terminal_init_fn=hook)
-        run_episode(di, di_cost, cfg, np.zeros(2), "mppi", 3)
-        assert len(calls) == 3
-        assert all(c.shape == (2,) for c in calls)
-
 
 def test_config_validation():
     with pytest.raises(ValueError):

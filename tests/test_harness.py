@@ -163,6 +163,22 @@ class TestRunExperiment:
         assert again.controller.K == cfg.controller.K
         assert again.n_trials == cfg.n_trials
 
+    def test_manifest_records_code_fingerprint(self, tmp_path):
+        import hashlib
+        from pathlib import Path
+
+        import scipy
+        import soppi
+        harness.run_experiment(harness.parse_config(tiny_config()), tmp_path)
+        with open(tmp_path / "manifest.json") as fh:
+            fingerprint = json.load(fh)["fingerprint"]
+        digest = hashlib.sha256()
+        for path in sorted(Path(soppi.__file__).parent.glob("*.py")):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert fingerprint == {"src_sha256": digest.hexdigest(),
+                               "numpy": np.__version__,
+                               "scipy": scipy.__version__}
+
     def test_threaded_run_matches_serial(self, tmp_path):
         cfg = harness.parse_config(tiny_config())
         harness.run_experiment(cfg, tmp_path / "serial", workers=1)

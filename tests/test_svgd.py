@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soppi import ParticleSet, SvgdConfig, kernel, kernel_grad_wrt_first, \
-    median_bandwidth, stein_direction
+    median_bandwidth, stein_direction, svgd
 
 
 def naive_stein_reference(particles, grads, sigma_k, alpha):
@@ -142,12 +142,13 @@ class TestSteinDirection:
 
     @pytest.mark.parametrize("K", [1, 2, 63, 64, 65, 128, 129, 500, 777])
     def test_scalar_controls_match_blocked_1d_loop_bitwise(self, K):
+        # The blocked routine itself: stein_direction may take the low-rank
+        # route for these sets.
         rng = np.random.default_rng(K)
         p = rng.normal(size=(K, 1)) * 3.0
         g = rng.normal(size=(K, 1)) * 10.0
-        cfg = SvgdConfig(bandwidth=1.2, alpha=1.5)
         np.testing.assert_array_equal(
-            stein_direction(ParticleSet(p, g), cfg),
+            svgd._direction_blocked(p, g, 1.2, 1.5),
             blocked_1d_reference(p[:, 0], g[:, 0], 1.2, 1.5))
 
     def test_permutation_equivariance(self):
@@ -176,6 +177,140 @@ class TestSteinDirection:
         with pytest.raises(ValueError, match="sample index 2"):
             stein_direction(ParticleSet(np.zeros((3, 1)), g),
                             SvgdConfig(bandwidth=1.0))
+
+
+@pytest.fixture
+def low_rank_calls(monkeypatch):
+    """Node count of every call that takes the low-rank route."""
+    calls = []
+    real = svgd._direction_low_rank
+
+    def spy(u, g, sigma_k, alpha, r):
+        calls.append(r)
+        return real(u, g, sigma_k, alpha, r)
+
+    monkeypatch.setattr(svgd, "_direction_low_rank", spy)
+    return calls
+
+
+def _blocked(p, g, cfg):
+    return svgd._direction_blocked(p, g, svgd._resolve_bandwidth(cfg, p),
+                                   cfg.alpha)
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestLowRankScalarKernel:
+    """The Chebyshev route against the blocked loop: 1e-12 norm-wise where
+    it is taken, bitwise where it is not."""
+
+    @pytest.mark.parametrize("K", [64, 128, 500, 2000])
+    def test_matches_blocked_loop(self, K, low_rank_calls):
+        rng = np.random.default_rng(K)
+        taken = skipped = 0
+        for bandwidth in [0.5, 1.0, 2.0, 5.0, 10.0, "median"]:
+            # particle std as a multiple of the fixed bandwidth (of 5 for
+            # the median one): spans from about 0.3 to past _MAX_SPAN
+            scale = 5.0 if bandwidth == "median" else bandwidth
+            for spread in [0.05, 0.5, 1.0, 3.0, 6.0]:
+                p = rng.normal(size=(K, 1)) * spread * scale
+                g = rng.normal(size=(K, 1)) * 10.0
+                cfg = SvgdConfig(bandwidth=bandwidth, alpha=1.5)
+                n_calls = len(low_rank_calls)
+                got = stein_direction(ParticleSet(p, g), cfg)
+                want = _blocked(p, g, cfg)
+                if len(low_rank_calls) > n_calls:
+                    taken += 1
+                    assert _rel_err(got, want) <= 1e-12, (bandwidth, spread)
+                else:
+                    skipped += 1
+                    np.testing.assert_array_equal(got, want)
+        assert skipped > 0
+        if K > 64:  # at K = 64 only a coincident set qualifies
+            assert taken > 0
+
+    @pytest.mark.parametrize("K,span,low_rank", [
+        (128, 4.4, True), (128, 4.5, False),   # 4 r <= K with r = 32 / 33
+        (500, 29.9, True), (500, 30.1, False),  # _MAX_SPAN
+        (2000, 29.9, True), (2000, 30.1, False),
+    ])
+    def test_route_switches_on_span(self, K, span, low_rank, low_rank_calls):
+        rng = np.random.default_rng(3)
+        p = np.linspace(0.0, 2.0 * span, K)[rng.permutation(K), None]
+        g = rng.normal(size=(K, 1))
+        cfg = SvgdConfig(bandwidth=2.0, alpha=10.0)
+        got = stein_direction(ParticleSet(p, g), cfg)
+        want = _blocked(p, g, cfg)
+        assert bool(low_rank_calls) == low_rank
+        if low_rank:
+            assert low_rank_calls == [svgd._node_count(span)]
+            assert _rel_err(got, want) <= 1e-12
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    def test_particles_exactly_on_chebyshev_nodes(self, low_rank_calls):
+        # With bandwidth 1 and the particles spanning [-1, 1], the node
+        # interval is [-1, 1] and particle i sits on node x_i exactly.
+        r = svgd._node_count(2.0)
+        x, _ = svgd._chebyshev_nodes(r)
+        rng = np.random.default_rng(5)
+        p = np.concatenate([x, [-1.0, 1.0], rng.uniform(-1, 1, 128 - r - 2)])
+        p = p[:, None]
+        g = rng.normal(size=(128, 1))
+        cfg = SvgdConfig(bandwidth=1.0, alpha=2.0)
+        got = stein_direction(ParticleSet(p, g), cfg)
+        assert low_rank_calls == [r]
+        assert np.isfinite(got).all()
+        assert _rel_err(got, _blocked(p, g, cfg)) <= 1e-12
+
+    @pytest.mark.parametrize("K", [64, 500])
+    def test_coincident_particles(self, K, low_rank_calls):
+        p = np.full((K, 1), -2.5)
+        cfg = SvgdConfig(bandwidth=0.5, alpha=3.0)
+        zero = stein_direction(ParticleSet(p, np.zeros((K, 1))), cfg)
+        np.testing.assert_array_equal(zero, np.zeros((K, 1)))
+        g = np.random.default_rng(K).normal(size=(K, 1))
+        got = stein_direction(ParticleSet(p, g), cfg)
+        assert low_rank_calls == [16, 16]
+        assert _rel_err(got, _blocked(p, g, cfg)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["median-K128", "outlier", "overflow",
+                                      "two-dims"])
+    def test_blocked_cases_stay_bitwise(self, case, low_rank_calls):
+        rng = np.random.default_rng(11)
+        K, m, bandwidth = 128, 1, 1.0
+        p = rng.normal(size=(K, 1)) * 0.2
+        if case == "median-K128":
+            bandwidth = "median"
+            p = rng.normal(size=(K, 1)) * 5.0
+        elif case == "outlier":
+            p[7, 0] = 1e200           # finite, but a span far past the cap
+        elif case == "overflow":
+            bandwidth = 0.5
+            p[7, 0] = 1e308           # p / sigma_k overflows: span is inf
+        else:
+            m = 2
+            p = rng.normal(size=(K, m)) * 0.2
+        g = rng.normal(size=(K, m))
+        cfg = SvgdConfig(bandwidth=bandwidth, alpha=10.0)
+        # The outliers overflow the squared distances on either route; the
+        # controller runs its sweeps under the same errstate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(
+                stein_direction(ParticleSet(p, g), cfg), _blocked(p, g, cfg))
+        assert low_rank_calls == []
+
+    def test_fewer_than_two_particles(self, low_rank_calls):
+        cfg = SvgdConfig(bandwidth=1.0, alpha=2.0)
+        empty = stein_direction(ParticleSet(np.zeros((0, 1)),
+                                            np.zeros((0, 1))), cfg)
+        assert empty.shape == (0, 1)
+        one = stein_direction(ParticleSet(np.array([[0.4]]),
+                                          np.array([[3.0]])), cfg)
+        np.testing.assert_array_equal(one, [[-6.0]])
+        assert low_rank_calls == []
 
 
 class TestRepulsionProperty:

@@ -8,8 +8,8 @@ output directory, so run this once up front to keep the test suite fast:
 
     python3 scripts/run_cartpole_benchmark.py --out results/cartpole_benchmark
 
-At the default --workers 1 it took 25 minutes of wall time on a 2-vCPU
-x86-64 machine, 23 of them in the five SOPPI trials.  Pass --trials/--seed
+At the default --workers 1 it took 25-26 minutes of wall time on a 2-vCPU
+x86-64 machine, 23-24 of them in the five SOPPI trials.  Pass --trials/--seed
 to shrink or reseed the battery (the acceptance tests only reuse runs made
 with the default settings).
 """

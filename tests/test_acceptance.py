@@ -3,7 +3,7 @@
 Each test here is one release gate; the pytest -v line for each function is
 the pass/fail record.  The two cart-pole benchmark gates share a full-scale
 run (K=500, horizon 80, 5 SVGD sweeps, 5 paired seeds, 20 s episodes).  That
-run took 25 minutes serially on a 2-vCPU machine, so the shared fixture
+run took 25-26 minutes serially on a 2-vCPU machine, so the shared fixture
 reuses the output of scripts/run_cartpole_benchmark.py when a complete,
 matching results directory exists (default results/cartpole_benchmark,
 overridable via the SOPPI_BENCHMARK_DIR environment variable) and the
@@ -215,7 +215,7 @@ def test_cartpole_swingup_settles_with_no_divergence(benchmark_records):
     wall = sum(float(np.sum(r.step_wall_times))
                for recs in benchmark_records.values() for r in recs)
     print(f"\nbenchmark controller wall time: {wall / 60:.1f} min "
-          "(15 min desktop target; 25 min measured serially on 2 vCPUs)")
+          "(15 min desktop target; 25-26 min measured serially on 2 vCPUs)")
 
 
 def test_refined_sampler_beats_baseline_directionally(benchmark_records):

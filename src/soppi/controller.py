@@ -3,9 +3,11 @@
 One controller step: draw the Gaussian perturbations, optionally refine each
 horizon step's K control particles with SVGD sweeps, roll out every sample,
 softmax-weight the costs, and update the nominal sequence with the weighted
-(refined) perturbations.  ``soppi_step`` with zero SVGD iterations is
-bit-identical to ``mppi_step`` by construction: the refinement phase is the
-only difference and it degenerates to a no-op.
+(refined) perturbations.  If every sample diverged, the step keeps the
+nominal it was given, with all-zero weights, for both algorithms.
+``soppi_step`` with zero SVGD iterations is bit-identical to ``mppi_step`` by
+construction: the refinement phase is the only difference and it degenerates
+to a no-op.
 """
 
 from __future__ import annotations
@@ -109,11 +111,16 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
                      x0, controls: np.ndarray) -> np.ndarray:
     """SVGD sweeps over each horizon step's particle set, in horizon order.
 
-    Every sweep recomputes the one-step lookahead and pushes each particle
-    along the Stein direction of the single-step running cost; after the
-    sweeps the sample states advance one step with the refined controls.
-    A sample whose gradient is non-finite (a diverged rollout) is left out
-    of that sweep's Stein set and is not moved by it.
+    The sample states stay fixed during a horizon step's sweeps, so their
+    state-only step terms (``System._prepare``) and the control Jacobian are
+    computed once per horizon step.  Every sweep advances those terms with
+    the current controls for the one-step lookahead, applies the control
+    clamp to the Jacobian, and pushes each particle along the Stein
+    direction of the single-step running cost; after the sweeps the same
+    terms advance the sample states one step with the refined controls.
+    The result is bitwise equal to stepping the states afresh in every
+    sweep.  A sample whose gradient is non-finite (a diverged rollout) is
+    left out of that sweep's Stein set and is not moved by it.
     """
     svgd_cfg = cfg.svgd
     K, N, m = controls.shape
@@ -123,25 +130,37 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
     with np.errstate(all="ignore"):
         for t in range(N):
             v = refined[:, t, :].copy()        # contiguous for the sweeps
+            z = system._prepare([x[:, i] for i in range(system.state_dim)])
+            b_free = system._control_jacobian(z)           # (K, n, m)
             for _ in range(svgd_cfg.iterations):
-                x_next = system.step_unchecked(x, v)
+                u = [v[:, j] for j in range(m)]
+                x_next = np.stack(system._advance(z, u), axis=-1)
                 d_state, d_control = cost_mod.running_cost_gradients(
                     spec, x_next, v, t)
-                b = system.control_jacobian(x, v)          # (K, n, m)
+                b = system._saturate(b_free, z, u)
                 grads = np.einsum("knm,kn->km", b, d_state) + d_control
                 ok = np.isfinite(grads).all(axis=1)
                 phi = stein_direction(ParticleSet(v[ok], grads[ok]), svgd_cfg)
                 v[ok] += svgd_cfg.step_size * phi
             refined[:, t, :] = v
-            x = system.step_unchecked(x, v)
+            x = np.stack(system._advance(z, [v[:, j] for j in range(m)]),
+                         axis=-1)
     return refined
 
 
 def _weight_and_update(system, spec, cfg, x0,
                        batch: sampling.SampleBatch) -> StepResult:
     costs = evaluate_batch(system, spec, x0, batch)
-    weights = compute_weights(costs, cfg.lambda_)
-    u_star = update_nominal(batch.base, batch.noises.values, weights)
+    if np.isinf(costs).all():
+        # Nothing to weight: keep the nominal, which the episode has
+        # already shifted, instead of ending the episode.
+        log.warning("all %d samples diverged; keeping the nominal",
+                    costs.size)
+        weights = np.zeros_like(costs)
+        u_star = batch.base.copy()
+    else:
+        weights = compute_weights(costs, cfg.lambda_)
+        u_star = update_nominal(batch.base, batch.noises.values, weights)
     return StepResult(u_star=u_star, applied=u_star[0].copy(),
                       weights=weights, costs=costs, refined_batch=batch)
 

@@ -57,13 +57,13 @@ class CostSpec:
             if self.u_ref.ndim != 2 or self.u_ref.shape[1] != self.R.shape[0]:
                 raise ValueError("u_ref must be (horizon, control_dim)")
         self.angle_dims = frozenset(int(i) for i in self.angle_dims)
-        self._angle_idx = np.array(sorted(self.angle_dims), dtype=int)
+        self._angle_idx = tuple(sorted(self.angle_dims))
 
     def state_error(self, state):
         """state - x_target, wrapped on the angle dimensions."""
         e = np.asarray(state, dtype=float) - self.x_target
-        if self._angle_idx.size:
-            e[..., self._angle_idx] = wrap_angle(e[..., self._angle_idx])
+        for i in self._angle_idx:
+            e[..., i] = wrap_angle(e[..., i])
         return e
 
     def control_error(self, control, t):

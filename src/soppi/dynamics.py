@@ -8,8 +8,20 @@ same code path serves three callers:
 * plain floats and numpy batches of shape ``(..., n)`` for rollouts,
 * :class:`~soppi.dualdiff.Dual` inputs for exact forward-mode Jacobians.
 
-Hand-derived closed-form control Jacobians are provided for the hot loop and
-are required to agree with the dual-number path (tested).
+Each system splits its step in two.  ``_prepare(s)`` computes the terms that
+depend on the state alone (for the cart-pole: sin/cos theta, the centripetal,
+friction and gravity terms and the denominator of the accelerations);
+``_advance(z, u)`` finishes the step from those terms and the control, in the
+same operation order as the undivided formula.  ``_step_components`` composes
+the two, so a single state evaluated once is bitwise equal to the prepared
+terms advanced with any control.  The SOPPI refinement, which evaluates one
+state under several controls, prepares once and advances per control.  The
+pendulum and the double integrator have no costly state-only part and keep
+the base-class default, which passes the state components through.
+
+Hand-derived closed-form control Jacobians, built from the same prepared
+terms, are provided for the hot loop and are required to agree with the
+dual-number path (tested).
 
 States and controls are plain numpy float vectors.  Cart-pole state order is
 ``(x [m], x_dot [m/s], theta [rad], theta_dot [rad/s])`` with ``theta = 0``
@@ -84,9 +96,30 @@ class System:
     control_dim: int
     dt: float
 
+    def _prepare(self, s):
+        """State-only terms of the step, from the unpacked state components.
+
+        The default keeps the components themselves.
+        """
+        return s
+
+    def _advance(self, z, u):
+        """Next-state components from prepared terms and control components."""
+        raise NotImplementedError
+
     def _step_components(self, s, u):
         """Next-state components from unpacked state/control components."""
+        return self._advance(self._prepare(s), u)
+
+    def _control_jacobian(self, z):
+        """d(next state)/d(control) at prepared terms for an unclamped control,
+        shape ``(..., n, m)``."""
         raise NotImplementedError
+
+    def _saturate(self, b, z, u):
+        """The control Jacobian ``b`` with the control clamp applied; systems
+        without a clamp return ``b`` itself."""
+        return b
 
     def step(self, state, control):
         """One semi-implicit Euler step.  Accepts ``(..., n)`` batches."""
@@ -119,20 +152,13 @@ class System:
         return Jacobians(jac[:, :n].copy(), jac[:, n:].copy())
 
     def control_jacobian(self, state, control):
-        """Batched d(next state)/d(control), shape ``(..., n, m)``.
-
-        Subclasses override with a closed form; the default falls back to the
-        dual-number path point by point and is only suitable for tests.
-        """
+        """Batched d(next state)/d(control) in closed form, shape
+        ``(..., n, m)``."""
         state = np.asarray(state, dtype=float)
         control = np.asarray(control, dtype=float)
-        if state.ndim == 1:
-            return self.jacobians(state, control).d_next_d_control
-        flat_s = state.reshape(-1, self.state_dim)
-        flat_u = control.reshape(-1, self.control_dim)
-        out = np.stack([self.jacobians(s, u).d_next_d_control
-                        for s, u in zip(flat_s, flat_u)])
-        return out.reshape(state.shape[:-1] + (self.state_dim, self.control_dim))
+        z = self._prepare([state[..., i] for i in range(self.state_dim)])
+        u = [control[..., j] for j in range(self.control_dim)]
+        return self._saturate(self._control_jacobian(z), z, u)
 
 
 class CartPole(System):
@@ -149,45 +175,57 @@ class CartPole(System):
         self.params = params
         self.dt = params.dt
 
-    def _step_components(self, s, u):
+    def _prepare(self, s):
         p = self.params
         x, xd, th, thd = s
+        mt = p.cart_mass + p.pole_mass
+        half = p.pole_half_length
+        st, ct = sin(th), cos(th)
+        spin = p.pole_mass * half * thd * thd * st
+        slide = p.cart_friction * sign(xd)
+        pull = p.gravity * st
+        drag = p.pole_friction * thd / (p.pole_mass * half)
+        denom = half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt)
+        return (x, xd, th, thd, ct, spin, slide, pull, drag, denom)
+
+    def _advance(self, z, u):
+        p = self.params
+        x, xd, th, thd, ct, spin, slide, pull, drag, denom = z
         force = u[0]
         if p.force_limit is not None:
             force = clip(force, -p.force_limit, p.force_limit)
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
-        st, ct = sin(th), cos(th)
-        temp = (force + p.pole_mass * half * thd * thd * st
-                - p.cart_friction * sign(xd)) / mt
-        th_acc = (p.gravity * st - ct * temp
-                  - p.pole_friction * thd / (p.pole_mass * half)) / (
-            half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt))
+        temp = (force + spin - slide) / mt
+        th_acc = (pull - ct * temp - drag) / denom
         x_acc = temp - p.pole_mass * half * th_acc * ct / mt
         xd2 = xd + x_acc * p.dt
         thd2 = thd + th_acc * p.dt
         return (x + xd2 * p.dt, xd2, th + thd2 * p.dt, thd2)
 
-    def control_jacobian(self, state, control):
-        # Closed form: only the accelerations depend on the force, linearly.
+    def _control_jacobian(self, z, d_temp=None):
+        # Closed form: only the accelerations depend on the force, linearly;
+        # d_temp is d(temp)/d(force), zero where the force saturates.
         p = self.params
-        state = np.asarray(state, dtype=float)
-        control = np.asarray(control, dtype=float)
-        th = state[..., 2]
-        ct = np.cos(th)
+        ct, denom = z[4], z[9]
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
-        d_temp = np.full_like(th, 1.0 / mt)
-        if p.force_limit is not None:
-            saturated = np.abs(control[..., 0]) > p.force_limit
-            d_temp = np.where(saturated, 0.0, d_temp)
-        denom = half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt)
+        if d_temp is None:
+            d_temp = np.full_like(ct, 1.0 / mt)
         d_th_acc = -ct * d_temp / denom
         d_x_acc = d_temp - p.pole_mass * half * d_th_acc * ct / mt
         dt = p.dt
         cols = np.stack([d_x_acc * dt * dt, d_x_acc * dt,
                          d_th_acc * dt * dt, d_th_acc * dt], axis=-1)
         return cols[..., None]
+
+    def _saturate(self, b, z, u):
+        if self.params.force_limit is None:
+            return b
+        saturated = np.abs(u[0]) > self.params.force_limit
+        clamped = self._control_jacobian(z, np.zeros_like(z[4]))
+        return np.where(np.reshape(saturated, np.shape(saturated) + (1, 1)),
+                        clamped, b)
 
 
 class DoubleIntegrator(System):
@@ -201,15 +239,14 @@ class DoubleIntegrator(System):
             raise ValueError("dt must be positive")
         self.dt = dt
 
-    def _step_components(self, s, u):
-        x, v = s
+    def _advance(self, z, u):
+        x, v = z
         v2 = v + u[0] * self.dt
         return (x + v2 * self.dt, v2)
 
-    def control_jacobian(self, state, control):
-        state = np.asarray(state, dtype=float)
+    def _control_jacobian(self, z):
         b = np.array([[self.dt * self.dt], [self.dt]])
-        return np.broadcast_to(b, state.shape[:-1] + (2, 1)).copy()
+        return np.broadcast_to(b, np.shape(z[0]) + (2, 1)).copy()
 
 
 class Pendulum(System):
@@ -230,19 +267,18 @@ class Pendulum(System):
         self.damping = damping
         self.dt = dt
 
-    def _step_components(self, s, u):
-        th, om = s
+    def _advance(self, z, u):
+        th, om = z
         acc = (-(self.gravity / self.length) * sin(th)
                - self.damping * om
                + u[0] / (self.mass * self.length ** 2))
         om2 = om + acc * self.dt
         return (th + om2 * self.dt, om2)
 
-    def control_jacobian(self, state, control):
-        state = np.asarray(state, dtype=float)
+    def _control_jacobian(self, z):
         g = self.dt / (self.mass * self.length ** 2)
         b = np.array([[g * self.dt], [g]])
-        return np.broadcast_to(b, state.shape[:-1] + (2, 1)).copy()
+        return np.broadcast_to(b, np.shape(z[0]) + (2, 1)).copy()
 
 
 def rollout(system: System, x0, controls, length: int | None = None):

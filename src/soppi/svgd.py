@@ -25,6 +25,7 @@ alone; everything else stays on the blocked routine bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,13 +157,17 @@ def _node_count(span: float) -> int:
     return math.ceil(16.0 + 3.6 * span)
 
 
+@functools.lru_cache(maxsize=None)
 def _chebyshev_nodes(r: int):
     """Chebyshev points of the first kind on [-1, 1] and their barycentric
-    weights (Berrut & Trefethen, 2004)."""
+    weights (Berrut & Trefethen, 2004); cached per r, read-only."""
     theta = (2 * np.arange(r) + 1) * (np.pi / (2 * r))
     w = np.sin(theta)
     w[1::2] *= -1.0
-    return np.cos(theta), w
+    x = np.cos(theta)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _direction(p, g, sigma_k, alpha):
@@ -240,7 +245,10 @@ def _direction_low_rank(u, g, sigma_k, alpha, r):
     if on_node.any():
         lag[on_node] = d[on_node] == 0.0
         norm[on_node] = 1.0
-    f = np.stack([-alpha * g, t, np.ones(K)], axis=1) / norm[:, None]
+    f = np.empty((K, 3))
+    np.divide(-alpha * g, norm, out=f[:, 0])
+    np.divide(t, norm, out=f[:, 1])
+    np.divide(1.0, norm, out=f[:, 2])
     moments = lag.T @ f                             # (r, 3)
     d *= d
     d *= -0.5 * half * half                         # -(t_i - c_a)^2 / 2

@@ -3,13 +3,44 @@ import copy
 import numpy as np
 import pytest
 
-from soppi import ControllerConfig, CostSpec, DoubleIntegrator, SvgdConfig, \
-    compute_weights, cost_to_go, evaluate_batch, mppi_step, rollout, \
-    run_episode, soppi_step, update_nominal
+from soppi import CartPole, CartPoleParams, ControllerConfig, CostSpec, \
+    DoubleIntegrator, Pendulum, SvgdConfig, compute_weights, cost_to_go, \
+    evaluate_batch, mppi_step, rollout, run_episode, soppi_step, \
+    update_nominal
+from soppi import cost as cost_mod
 from soppi.sampling import draw_noise, perturb
 from soppi import controller as controller_mod
 from soppi.controller import _refine_controls
 from soppi.harness import DEFAULT_CARTPOLE_CONFIG, parse_config
+from soppi.svgd import ParticleSet, stein_direction
+
+
+def unstaged_refine_oracle(system, spec, cfg, x0, controls):
+    """The refinement loop before the staged sweep, kept verbatim: every
+    sweep steps the states and builds the control Jacobian afresh.  Also
+    returns how many rows the sweeps left out for a non-finite gradient."""
+    svgd_cfg = cfg.svgd
+    K, N, m = controls.shape
+    refined = controls.copy()
+    x = np.broadcast_to(np.asarray(x0, dtype=float),
+                        (K, system.state_dim)).copy()
+    masked = 0
+    with np.errstate(all="ignore"):
+        for t in range(N):
+            v = refined[:, t, :].copy()        # contiguous for the sweeps
+            for _ in range(svgd_cfg.iterations):
+                x_next = system.step_unchecked(x, v)
+                d_state, d_control = cost_mod.running_cost_gradients(
+                    spec, x_next, v, t)
+                b = system.control_jacobian(x, v)          # (K, n, m)
+                grads = np.einsum("knm,kn->km", b, d_state) + d_control
+                ok = np.isfinite(grads).all(axis=1)
+                masked += int((~ok).sum())
+                phi = stein_direction(ParticleSet(v[ok], grads[ok]), svgd_cfg)
+                v[ok] += svgd_cfg.step_size * phi
+            refined[:, t, :] = v
+            x = system.step_unchecked(x, v)
+    return refined, masked
 
 
 @pytest.fixture
@@ -268,6 +299,107 @@ class TestSoppiStep:
         np.testing.assert_array_equal(
             refined[keep],
             _refine_controls(di, di_cost, cfg, x0, controls[keep]))
+
+
+_CARTPOLE_Q = np.diag([1.25, 1.0, 12.0, 0.25])
+_STAGED_CASES = {
+    "cartpole": (CartPole(), np.array([0.0, 0.0, np.pi, 0.0])),
+    "cartpole_force_limit": (CartPole(CartPoleParams(force_limit=5.0)),
+                             np.array([0.0, 0.0, np.pi, 0.0])),
+    "cartpole_friction": (
+        CartPole(CartPoleParams(cart_friction=0.3, pole_friction=0.05)),
+        np.array([0.1, 0.4, 2.5, -0.3])),
+    "pendulum": (Pendulum(damping=0.1), np.array([0.3, -0.2])),
+    "double_integrator": (DoubleIntegrator(0.05), np.array([1.0, -0.5])),
+}
+
+
+class TestStagedRefinement:
+    """The staged sweep is bitwise equal to stepping afresh in every sweep."""
+
+    @pytest.mark.parametrize("sigma", [5.0, 5000.0])
+    @pytest.mark.parametrize("bandwidth", [5.0, "median"])
+    @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
+    def test_matches_unstaged_loop_bitwise(self, name, bandwidth, sigma):
+        system, x0 = _STAGED_CASES[name]
+        n = system.state_dim
+        q = _CARTPOLE_Q if n == 4 else np.eye(n)
+        spec = CostSpec(Q=q, R=np.array([[1e-3]]), Q_T=10 * q,
+                        x_target=np.zeros(n),
+                        angle_dims={2} if n == 4 else {0})
+        K, N = 128, 12
+        cfg = ControllerConfig(
+            K=K, horizon=N, lambda_=1.0, sigma=sigma, seed=3,
+            svgd=SvgdConfig(iterations=5, step_size=0.2, bandwidth=bandwidth,
+                            alpha=10.0))
+        controls = perturb(np.zeros((N, 1)),
+                           draw_noise(cfg.seed, K, N, 1, sigma)).controls
+        if sigma > 100:
+            # Diverged rows: an infinite control, and one beyond the float
+            # range after a step, so some sweeps mask rows.
+            controls[5, 0, 0] = np.inf
+            controls[9, 2, 0] = 1e300
+        expected, masked = unstaged_refine_oracle(system, spec, cfg, x0,
+                                                  controls)
+        assert (masked > 0) == (sigma > 100)
+        got = _refine_controls(system, spec, cfg, x0, controls)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_force_limit_case_draws_clamped_and_free_controls(self):
+        # The force-limited case above must mix clamped and free rows, or
+        # it tests nothing beyond the unclamped one.
+        system, x0 = _STAGED_CASES["cartpole_force_limit"]
+        controls = perturb(np.zeros((12, 1)),
+                           draw_noise(3, 128, 12, 1, 5.0)).controls
+        saturated = np.abs(controls) > system.params.force_limit
+        assert saturated.any() and not saturated.all()
+
+
+class TestAllSamplesDiverged:
+    """A step whose every sample diverges keeps the shifted nominal."""
+
+    @staticmethod
+    def _config(sigma, seed):
+        raw = copy.deepcopy(DEFAULT_CARTPOLE_CONFIG)
+        raw["controller"].update(K=64, horizon=30, sigma=sigma, seed=seed)
+        raw["svgd"].update(bandwidth="median")
+        return parse_config(raw)
+
+    @pytest.mark.parametrize("algo,sigma,seed", [
+        ("soppi", 5000.0, 0), ("soppi", 5000.0, 1), ("soppi", 5000.0, 2),
+        ("mppi", 1e5, 1), ("mppi", 1e5, 2)])
+    def test_step_keeps_the_nominal(self, algo, sigma, seed):
+        # Each of these raised "no viable samples" before the fallback.
+        c = self._config(sigma, seed)
+        U = np.zeros((30, 1))
+        res = controller_mod._STEPPERS[algo](c.system, c.cost_spec,
+                                             c.controller, c.x0, U)
+        assert np.isinf(res.costs).all()
+        np.testing.assert_array_equal(res.weights, 0.0)
+        np.testing.assert_array_equal(res.u_star, U)
+        np.testing.assert_array_equal(res.applied, U[0])
+
+    @pytest.mark.parametrize("algo", ["mppi", "soppi"])
+    def test_returns_the_base_not_zeros(self, di, di_cost, monkeypatch,
+                                        algo):
+        monkeypatch.setattr(controller_mod, "evaluate_batch",
+                            lambda system, spec, x0, batch:
+                            np.full(batch.controls.shape[0], np.inf))
+        cfg = ControllerConfig(K=8, horizon=5, lambda_=1.0, sigma=1.0,
+                               svgd=SvgdConfig(iterations=1, bandwidth=1.0))
+        U = np.linspace(-1.0, 1.0, 5)[:, None]
+        res = controller_mod._STEPPERS[algo](di, di_cost, cfg,
+                                             np.array([1.0, 0.0]), U)
+        np.testing.assert_array_equal(res.u_star, U)
+        assert res.u_star is not U
+        np.testing.assert_array_equal(res.weights, np.zeros(8))
+
+    def test_episode_continues(self):
+        c = self._config(5000.0, 0)
+        rec = run_episode(c.system, c.cost_spec, c.controller, c.x0,
+                          "soppi", 3)
+        assert rec.controls.shape == (3, 1)
+        assert np.all(np.isfinite(rec.states))
 
 
 class TestRunEpisode:

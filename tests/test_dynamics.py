@@ -73,6 +73,70 @@ class TestCartPoleStep:
         assert fric.step(x, np.zeros(1))[1] < CartPole().step(x, np.zeros(1))[1]
 
 
+def undivided_cartpole_step(params, s, u):
+    """The cart-pole step before its prepare/advance split, kept verbatim
+    as a bitwise oracle for the operation order."""
+    p = params
+    x, xd, th, thd = s
+    force = u[0]
+    if p.force_limit is not None:
+        force = np.clip(force, -p.force_limit, p.force_limit)
+    mt = p.cart_mass + p.pole_mass
+    half = p.pole_half_length
+    st, ct = np.sin(th), np.cos(th)
+    temp = (force + p.pole_mass * half * thd * thd * st
+            - p.cart_friction * np.sign(xd)) / mt
+    th_acc = (p.gravity * st - ct * temp
+              - p.pole_friction * thd / (p.pole_mass * half)) / (
+        half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt))
+    x_acc = temp - p.pole_mass * half * th_acc * ct / mt
+    xd2 = xd + x_acc * p.dt
+    thd2 = thd + th_acc * p.dt
+    return np.stack((x + xd2 * p.dt, xd2, th + thd2 * p.dt, thd2), axis=-1)
+
+
+_PARAMS = [CartPoleParams(), CartPoleParams(force_limit=5.0),
+           CartPoleParams(cart_friction=0.3, pole_friction=0.05),
+           CartPoleParams(force_limit=5.0, cart_friction=0.3,
+                          pole_friction=0.05)]
+
+
+def _components(a):
+    return [a[..., i] for i in range(a.shape[-1])]
+
+
+class TestPreparedStep:
+    @pytest.mark.parametrize("params", _PARAMS)
+    def test_cartpole_matches_undivided_formula_bitwise(self, params):
+        system = CartPole(params)
+        rng = np.random.default_rng(11)
+        states = rng.normal(scale=3.0, size=(200, 4))
+        states[:5, 1] = 0.0                      # sign(x_dot) == 0
+        controls = rng.normal(scale=10.0, size=(200, 1))
+        got = system.step_unchecked(states, controls)
+        expected = undivided_cartpole_step(params, _components(states),
+                                           _components(controls))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("system", [CartPole(CartPoleParams(
+        force_limit=5.0, cart_friction=0.3, pole_friction=0.05)),
+        Pendulum(damping=0.1), DoubleIntegrator(0.05)],
+        ids=["cartpole", "pendulum", "double_integrator"])
+    @pytest.mark.parametrize("batch", [(), (7,)], ids=["scalar", "batch"])
+    def test_advance_of_prepared_matches_step_unchecked(self, system, batch):
+        # One preparation serves every control, as in the SOPPI sweeps.
+        rng = np.random.default_rng(12)
+        state = rng.normal(scale=2.0, size=batch + (system.state_dim,))
+        z = system._prepare(_components(state))
+        for _ in range(4):
+            control = rng.normal(scale=8.0,
+                                 size=batch + (system.control_dim,))
+            got = np.stack(system._advance(z, _components(control)), axis=-1)
+            expected = system.step_unchecked(state, control)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestJacobians:
     def test_double_integrator_is_linear(self, double_integrator):
         dt = double_integrator.dt
@@ -124,6 +188,22 @@ class TestJacobians:
                 batch[i], cartpole.jacobians(states[i],
                                              controls[i]).d_next_d_control,
                 rtol=1e-12, atol=1e-15)
+
+    def test_force_limited_control_jacobian_agrees_with_duals(self):
+        # Saturated rows have a zero Jacobian; both kinds occur here.
+        system = CartPole(CartPoleParams(force_limit=5.0))
+        rng = np.random.default_rng(9)
+        states = rng.normal(size=(8, 4))
+        controls = rng.normal(scale=6.0, size=(8, 1))
+        saturated = np.abs(controls[:, 0]) > 5.0
+        assert saturated.any() and not saturated.all()
+        batch = system.control_jacobian(states, controls)
+        for i in range(8):
+            np.testing.assert_allclose(
+                batch[i], system.jacobians(states[i],
+                                           controls[i]).d_next_d_control,
+                rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(batch[saturated], 0.0)
 
     def test_pendulum_closed_form_agrees(self, pendulum):
         state = np.array([0.3, -1.0])

@@ -8,6 +8,7 @@ test after changing controller defaults.
 
 import argparse
 import copy
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -32,7 +33,6 @@ def main():
     crit = SettlingCriterion(2, 0.0, 0.10, mode="fraction_of_range",
                              wrap_angle=True)
     for algo in ("mppi", "soppi"):
-        import dataclasses
         cfg = dataclasses.replace(config.controller, seed=args.seed)
         rec = run_episode(config.system, config.cost_spec, cfg, config.x0,
                           algo, config.n_steps)

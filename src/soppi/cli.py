@@ -41,7 +41,8 @@ def _load_records(in_dir):
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     records: dict[str, list] = {}
-    for fname, algo in sorted(manifest["record_files"].items()):
+    # The manifest lists the files in (algo, trial) order.
+    for fname, algo in manifest["record_files"].items():
         records.setdefault(algo, []).append(
             harness.read_record_csv(in_dir / fname))
     return manifest, records

@@ -1,12 +1,9 @@
-"""Discrete-time dynamics with exact control Jacobians.
+"""Discrete-time dynamics with exact Jacobians.
 
 Every system integrates with semi-implicit Euler (velocities first), which is
-stable at the 0.02 s step used by the cart-pole benchmark.  The per-component
-step functions are written against :mod:`soppi.dualdiff` primitives so the
-same code path serves three callers:
-
-* plain floats and numpy batches of shape ``(..., n)`` for rollouts,
-* :class:`~soppi.dualdiff.Dual` inputs for exact forward-mode Jacobians.
+stable at the 0.02 s step used by the cart-pole benchmark.  The step code is
+plain numpy, so it runs on floats, on batches of shape ``(..., n)`` and on
+complex inputs.
 
 Each system splits its step in two.  ``_prepare(s)`` computes the terms that
 depend on the state alone (for the cart-pole: sin/cos theta, the centripetal,
@@ -20,8 +17,15 @@ pendulum and the double integrator have no costly state-only part and keep
 the base-class default, which passes the state components through.
 
 Hand-derived closed-form control Jacobians, built from the same prepared
-terms, are provided for the hot loop and are required to agree with the
-dual-number path (tested).
+terms, are provided for the hot loop.  They are tested against
+:meth:`System.jacobians`, which differentiates the step itself by complex
+step: for a real-analytic f, ``f(x + ih) = f(x) + ih f'(x) + O(h^2)`` with no
+subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding once h is tiny
+(1e-30 here).  Two spots of the cart-pole are not analytic and read the real
+part only: the friction sign, whose derivative is zero, and the force clamp,
+which keeps the probe's imaginary part exactly where the closed form lets
+the force through (``|u| <= force_limit``).  On real inputs both give the
+same bits as plain ``np.sign`` and ``np.clip``.
 
 States and controls are plain numpy float vectors.  Cart-pole state order is
 ``(x [m], x_dot [m/s], theta [rad], theta_dot [rad/s])`` with ``theta = 0``
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualdiff import Dual, clip, cos, sign, sin
+_COMPLEX_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -139,16 +143,22 @@ class System:
         return np.stack(self._step_components(s, u), axis=-1)
 
     def jacobians(self, state, control) -> Jacobians:
-        """Exact Jacobians of :meth:`step` via forward-mode dual numbers."""
+        """Exact Jacobians of :meth:`step` by complex step.
+
+        One batched step of the point plus ``ih`` along each of the n + m
+        inputs; the imaginary parts over h are the Jacobian's columns.  No
+        difference is taken, so nothing cancels, and the O(h^2) error is far
+        below rounding at h = 1e-30.  The non-analytic friction sign and
+        force clamp act on the real part (see the module docstring).
+        """
         state, control = _check(self, state, control)
         if state.ndim != 1:
             raise ValueError("jacobians expects a single (unbatched) point")
-        n, m = self.state_dim, self.control_dim
-        s = [Dual.seed(state, i, n + m) for i in range(n)]
-        u = [Dual(control[j], np.eye(n + m)[n + j]) for j in range(m)]
-        out = self._step_components(s, u)
-        rows = [o.deriv if isinstance(o, Dual) else np.zeros(n + m) for o in out]
-        jac = np.stack(rows)
+        n = self.state_dim
+        point = np.concatenate([state, control])
+        probe = point + 1j * _COMPLEX_STEP * np.eye(point.size)
+        out = self.step_unchecked(probe[:, :n], probe[:, n:])
+        jac = out.imag.T / _COMPLEX_STEP
         return Jacobians(jac[:, :n].copy(), jac[:, n:].copy())
 
     def control_jacobian(self, state, control):
@@ -180,9 +190,9 @@ class CartPole(System):
         x, xd, th, thd = s
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
-        st, ct = sin(th), cos(th)
+        st, ct = np.sin(th), np.cos(th)
         spin = p.pole_mass * half * thd * thd * st
-        slide = p.cart_friction * sign(xd)
+        slide = p.cart_friction * np.sign(np.real(xd))
         pull = p.gravity * st
         drag = p.pole_friction * thd / (p.pole_mass * half)
         denom = half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt)
@@ -193,7 +203,12 @@ class CartPole(System):
         x, xd, th, thd, ct, spin, slide, pull, drag, denom = z
         force = u[0]
         if p.force_limit is not None:
-            force = clip(force, -p.force_limit, p.force_limit)
+            # Clamp the real part; a complex-step probe keeps its imaginary
+            # part where the force passes, the predicate of _saturate.
+            lim = p.force_limit
+            real = np.real(force)
+            force = np.where(np.abs(real) <= lim, force,
+                             np.clip(real, -lim, lim))
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
         temp = (force + spin - slide) / mt
@@ -269,7 +284,7 @@ class Pendulum(System):
 
     def _advance(self, z, u):
         th, om = z
-        acc = (-(self.gravity / self.length) * sin(th)
+        acc = (-(self.gravity / self.length) * np.sin(th)
                - self.damping * om
                + u[0] / (self.mass * self.length ** 2))
         om2 = om + acc * self.dt

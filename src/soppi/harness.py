@@ -10,6 +10,7 @@ everything needed to reproduce the records bit for bit.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -177,13 +178,6 @@ class RunManifest:
     record_files: dict = field(default_factory=dict)
     fingerprint: dict = field(default_factory=code_fingerprint)
 
-    def to_dict(self):
-        return {"config": self.config, "version": self.version,
-                "trial_seeds": self.trial_seeds, "started": self.started,
-                "finished": self.finished, "complete": self.complete,
-                "record_files": self.record_files,
-                "fingerprint": self.fingerprint}
-
 
 def default_metrics(config: ExperimentConfig):
     """Metric set of the benchmark tables, keyed by metric name."""
@@ -250,7 +244,6 @@ def read_record_csv(path) -> TrialRecord:
 
 
 def _run_one_trial(config: ExperimentConfig, algo: str, trial: int):
-    import dataclasses
     seed = config.base_seed + trial
     cfg = dataclasses.replace(config.controller, seed=seed)
     return run_episode(config.system, config.cost_spec, cfg, config.x0,
@@ -286,7 +279,7 @@ def run_experiment(config: ExperimentConfig, out_dir,
         manifest.finished = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
         with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2)
+            json.dump(dataclasses.asdict(manifest), fh, indent=2)
     return manifest
 
 

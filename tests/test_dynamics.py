@@ -173,9 +173,9 @@ class TestJacobians:
         rng = np.random.default_rng(100 + seed)
         state = rng.normal(scale=2.0, size=4)
         control = rng.normal(scale=5.0, size=1)
-        dual = cartpole.jacobians(state, control).d_next_d_control
+        exact = cartpole.jacobians(state, control).d_next_d_control
         closed = cartpole.control_jacobian(state, control)
-        np.testing.assert_allclose(closed, dual, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(closed, exact, rtol=1e-12, atol=1e-15)
 
     def test_batched_control_jacobian(self, cartpole):
         rng = np.random.default_rng(8)
@@ -190,20 +190,28 @@ class TestJacobians:
                 rtol=1e-12, atol=1e-15)
 
     def test_force_limited_control_jacobian_agrees_with_duals(self):
-        # Saturated rows have a zero Jacobian; both kinds occur here.
-        system = CartPole(CartPoleParams(force_limit=5.0))
+        # Saturated rows have a zero Jacobian; both kinds occur here.  The
+        # last four controls sit on the clamp's kinks: a force of exactly
+        # +-limit still passes through, one ulp outside it saturates.
+        limit = 5.0
+        system = CartPole(CartPoleParams(force_limit=limit))
         rng = np.random.default_rng(9)
-        states = rng.normal(size=(8, 4))
-        controls = rng.normal(scale=6.0, size=(8, 1))
-        saturated = np.abs(controls[:, 0]) > 5.0
-        assert saturated.any() and not saturated.all()
+        states = rng.normal(size=(12, 4))
+        controls = rng.normal(scale=6.0, size=(12, 1))
+        controls[8:, 0] = [limit, -limit, np.nextafter(limit, np.inf),
+                           np.nextafter(-limit, -np.inf)]
+        saturated = np.abs(controls[:, 0]) > limit
+        assert saturated[:8].any() and not saturated[:8].all()
+        np.testing.assert_array_equal(saturated[8:],
+                                      [False, False, True, True])
         batch = system.control_jacobian(states, controls)
-        for i in range(8):
+        for i in range(12):
             np.testing.assert_allclose(
                 batch[i], system.jacobians(states[i],
                                            controls[i]).d_next_d_control,
                 rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(batch[saturated], 0.0)
+        assert np.all(batch[~saturated] != 0.0)
 
     def test_pendulum_closed_form_agrees(self, pendulum):
         state = np.array([0.3, -1.0])
@@ -259,7 +267,11 @@ class TestRollout:
 @given(st.integers(0, 2 ** 32 - 1))
 def test_jacobian_fd_property(seed):
     rng = np.random.default_rng(seed)
-    system = [CartPole(), Pendulum(), DoubleIntegrator(0.05)][seed % 3]
+    # The last system has both frictions and a force clamp; its friction
+    # sign has a zero derivative away from x_dot = 0.
+    system = [CartPole(), Pendulum(), DoubleIntegrator(0.05),
+              CartPole(CartPoleParams(cart_friction=0.3, pole_friction=0.05,
+                                      force_limit=4.0))][seed % 4]
     state = rng.normal(scale=1.5, size=system.state_dim)
     control = rng.normal(scale=3.0, size=system.control_dim)
     jac = system.jacobians(state, control)

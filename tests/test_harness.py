@@ -242,6 +242,44 @@ class TestCli:
         assert (plots / "plot_mppi_state_2.csv").exists()
         assert (plots / "plot_soppi_u_0.csv").exists()
 
+    def test_plotdata_and_summary_follow_trial_order(self, tmp_path):
+        # With 11 trials a filename sort puts trial 10 before trial 2.
+        raw = {
+            "system": {"id": "double_integrator", "params": {"dt": 0.1}},
+            "cost": {"Q": [1.0, 0.1], "R": [0.01], "Q_T": [10.0, 1.0],
+                     "x_target": [0.0, 0.0]},
+            "controller": {"K": 8, "horizon": 5, "lambda": 1.0,
+                           "sigma": 1.0},
+            "svgd": {"step_size": 0.05, "iterations": 1, "bandwidth": 1.0},
+            "experiment": {"algos": ["mppi", "soppi"], "n_trials": 11,
+                           "base_seed": 0, "t_total": 0.3,
+                           "x0": [1.0, 0.0]},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "results"
+        assert cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        written = (out / "summary.csv").read_bytes()
+        assert cli_main(["summarize", "--in", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == written
+
+        plots = tmp_path / "plots"
+        assert cli_main(["plotdata", "--in", str(out),
+                         "--out", str(plots)]) == 0
+        for algo in ("mppi", "soppi"):
+            trials = [harness.read_record_csv(out / f"{algo}_trial_{i}.csv")
+                      for i in range(11)]
+            for kind, series in (("state_0", lambda r: r.states[:, 0]),
+                                 ("u_0", lambda r: r.controls[:, 0])):
+                with open(plots / f"plot_{algo}_{kind}.csv",
+                          newline="") as fh:
+                    rows = list(csv.reader(fh))
+                assert rows[0][1:] == [f"trial_{i}" for i in range(11)]
+                columns = np.array(rows[1:], dtype=float).T[1:]
+                for i, rec in enumerate(trials):
+                    np.testing.assert_array_equal(columns[i], series(rec))
+
     def test_algo_and_seed_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config()))

@@ -3,11 +3,11 @@
 One controller step: draw the Gaussian perturbations, optionally refine each
 horizon step's K control particles with SVGD sweeps, roll out every sample,
 softmax-weight the costs, and update the nominal sequence with the weighted
-(refined) perturbations.  If every sample diverged, the step keeps the
-nominal it was given, with all-zero weights, for both algorithms.
-``soppi_step`` with zero SVGD iterations is bit-identical to ``mppi_step`` by
-construction: the refinement phase is the only difference and it degenerates
-to a no-op.
+(refined) perturbations.  The refinement rolls the refined samples out as it
+goes and returns their costs, bitwise equal to ``evaluate_batch``'s.  If
+every sample diverged, the step keeps the nominal it was given, with
+all-zero weights, for both algorithms.  ``soppi_step`` with zero SVGD
+iterations is ``mppi_step``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,16 @@ class StepResult:
     refined_batch: sampling.SampleBatch
 
 
+def _mark_diverged(costs: np.ndarray) -> np.ndarray:
+    """Set non-finite costs to +inf (zero weight), with a warning."""
+    bad = ~np.isfinite(costs)
+    if bad.any():
+        log.warning("%d of %d samples diverged; assigning infinite cost",
+                    int(bad.sum()), costs.size)
+        costs[bad] = np.inf
+    return costs
+
+
 def evaluate_batch(system: System, spec: CostSpec, x0,
                    batch: sampling.SampleBatch) -> np.ndarray:
     """Cost-to-go of every sample's rollout from x0, shape (K,).
@@ -76,12 +86,7 @@ def evaluate_batch(system: System, spec: CostSpec, x0,
             costs += cost_mod.running_cost(spec, x, controls[:, t, :], t)
             x = system.step_unchecked(x, controls[:, t, :])
         costs += cost_mod.terminal_cost(spec, x)
-    bad = ~np.isfinite(costs)
-    if bad.any():
-        log.warning("%d of %d samples diverged; assigning infinite cost",
-                    int(bad.sum()), K)
-        costs[bad] = np.inf
-    return costs
+    return _mark_diverged(costs)
 
 
 def compute_weights(costs: np.ndarray, lambda_: float) -> np.ndarray:
@@ -108,7 +113,7 @@ def update_nominal(base: np.ndarray, noises: np.ndarray,
 
 
 def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
-                     x0, controls: np.ndarray) -> np.ndarray:
+                     x0, controls: np.ndarray):
     """SVGD sweeps over each horizon step's particle set, in horizon order.
 
     The sample states stay fixed during a horizon step's sweeps, so their
@@ -121,12 +126,17 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
     The result is bitwise equal to stepping the states afresh in every
     sweep.  A sample whose gradient is non-finite (a diverged rollout) is
     left out of that sweep's Stein set and is not moved by it.
+
+    Returns ``(refined, costs)``: the refined controls (K, N, m) and the
+    cost-to-go of their rollout, accumulated on the states the refinement
+    visits; bitwise equal to ``evaluate_batch`` on the refined controls.
     """
     svgd_cfg = cfg.svgd
     K, N, m = controls.shape
     refined = controls.copy()
     x = np.broadcast_to(np.asarray(x0, dtype=float),
                         (K, system.state_dim)).copy()
+    costs = np.zeros(K)
     with np.errstate(all="ignore"):
         for t in range(N):
             v = refined[:, t, :].copy()        # contiguous for the sweeps
@@ -143,14 +153,15 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
                 phi = stein_direction(ParticleSet(v[ok], grads[ok]), svgd_cfg)
                 v[ok] += svgd_cfg.step_size * phi
             refined[:, t, :] = v
+            costs += cost_mod.running_cost(spec, x, refined[:, t, :], t)
             x = np.stack(system._advance(z, [v[:, j] for j in range(m)]),
                          axis=-1)
-    return refined
+        costs += cost_mod.terminal_cost(spec, x)
+    return refined, _mark_diverged(costs)
 
 
-def _weight_and_update(system, spec, cfg, x0,
-                       batch: sampling.SampleBatch) -> StepResult:
-    costs = evaluate_batch(system, spec, x0, batch)
+def _weight_and_update(cfg, batch: sampling.SampleBatch,
+                       costs: np.ndarray) -> StepResult:
     if np.isinf(costs).all():
         # Nothing to weight: keep the nominal, which the episode has
         # already shifted, instead of ending the episode.
@@ -176,26 +187,27 @@ def mppi_step(system: System, spec: CostSpec, cfg: ControllerConfig,
               x0, U_init, step_seed: int | None = None) -> StepResult:
     """One plain MPPI step from state x0 around the nominal U_init."""
     batch = _draw_batch(cfg, system.control_dim, U_init, step_seed)
-    return _weight_and_update(system, spec, cfg, x0, batch)
+    return _weight_and_update(cfg, batch,
+                              evaluate_batch(system, spec, x0, batch))
 
 
 def soppi_step(system: System, spec: CostSpec, cfg: ControllerConfig,
                x0, U_init, step_seed: int | None = None) -> StepResult:
-    """One Stein-refined step; identical to mppi_step when iterations == 0."""
+    """One Stein-refined step, weighting the costs the refinement returns;
+    mppi_step itself when iterations == 0."""
+    if cfg.svgd.iterations == 0:
+        return mppi_step(system, spec, cfg, x0, U_init, step_seed)
     batch = _draw_batch(cfg, system.control_dim, U_init, step_seed)
-    if cfg.svgd.iterations > 0:
-        refined = _refine_controls(system, spec, cfg, x0, batch.controls)
-        values = refined - batch.base
-        # A non-finite refined control has a non-finite control cost, so
-        # evaluate_batch gives it zero weight; zero its noise as well, or
-        # 0 * inf makes u_star NaN.
-        values[~np.isfinite(values)] = 0.0
-        noise = sampling.NoiseTensor(values=values,
-                                     seed=batch.noises.seed,
-                                     sigma=batch.noises.sigma)
-        batch = sampling.SampleBatch(controls=refined, noises=noise,
-                                     base=batch.base)
-    return _weight_and_update(system, spec, cfg, x0, batch)
+    refined, costs = _refine_controls(system, spec, cfg, x0, batch.controls)
+    values = refined - batch.base
+    # A non-finite refined control has a non-finite control cost, so it
+    # gets zero weight; zero its noise as well, or 0 * inf makes u_star NaN.
+    values[~np.isfinite(values)] = 0.0
+    noise = sampling.NoiseTensor(values=values, seed=batch.noises.seed,
+                                 sigma=batch.noises.sigma)
+    batch = sampling.SampleBatch(controls=refined, noises=noise,
+                                 base=batch.base)
+    return _weight_and_update(cfg, batch, costs)
 
 
 _STEPPERS = {"mppi": mppi_step, "soppi": soppi_step}

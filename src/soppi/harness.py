@@ -252,7 +252,11 @@ def _run_one_trial(config: ExperimentConfig, algo: str, trial: int):
 
 def run_experiment(config: ExperimentConfig, out_dir,
                    workers: int = 1) -> RunManifest:
-    """Run the full trial battery and persist records, summary, manifest."""
+    """Run the full trial battery and persist records, summary, manifest.
+
+    Each trial's CSV is written and listed in a rewritten manifest as soon
+    as it returns, in job order, so a failed battery keeps finished trials.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -261,25 +265,27 @@ def run_experiment(config: ExperimentConfig, out_dir,
         started=datetime.datetime.now(datetime.timezone.utc).isoformat())
     jobs = [(algo, i) for algo in config.algos for i in range(config.n_trials)]
     records: dict[str, dict[int, TrialRecord]] = {a: {} for a in config.algos}
+
+    def write_manifest():
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(dataclasses.asdict(manifest), fh, indent=2)
+
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(
-                    lambda job: _run_one_trial(config, *job), jobs))
-        else:
-            results = [_run_one_trial(config, *job) for job in jobs]
-        for (algo, i), rec in zip(jobs, results):
-            fname = f"{algo}_trial_{i}.csv"
-            write_record_csv(out / fname, rec)
-            records[algo][i] = rec
-            manifest.record_files[fname] = algo
+        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+            run = pool.map if workers > 1 else map
+            for (algo, i), rec in zip(jobs, run(
+                    lambda job: _run_one_trial(config, *job), jobs)):
+                fname = f"{algo}_trial_{i}.csv"
+                write_record_csv(out / fname, rec)
+                records[algo][i] = rec
+                manifest.record_files[fname] = algo
+                write_manifest()
         write_summary(config, records, out)
         manifest.complete = True
     finally:
         manifest.finished = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(dataclasses.asdict(manifest), fh, indent=2)
+        write_manifest()
     return manifest
 
 

@@ -14,7 +14,8 @@ pair definitions the two routines below are tested against.
 
 ``_direction_blocked`` evaluates every pair, for any control dimension m, in
 cache blocks of rows; its sum over j runs in sample-index order, so it is
-bit-stable regardless of chunking or thread count.  For scalar controls
+bit-stable regardless of chunking or thread count; with the median bandwidth
+it reads the median's pair differences (``_pairwise``).  For scalar controls
 (m = 1) whose span is a few bandwidths, ``_direction_low_rank`` interpolates
 the kernel on r Chebyshev nodes and needs K * r exponentials instead of K^2
 (the global form of the black-box fast multipole method, Fong & Darve,
@@ -110,6 +111,40 @@ def kernel_grad_wrt_first(v_a, v_b, sigma_k: float):
     return -diff / s2 * math.exp(-d2 / (2.0 * s2))
 
 
+def _pairwise(p, start=0, stop=None):
+    """Rows start:stop of the pair differences of (K, m) particles p: the
+    C-ordered ``diff[d, i, j] = p_jd - p_id`` and ``d2 = sum_d diff[d]**2``,
+    summed in d order."""
+    pt = np.ascontiguousarray(p.T)                  # (m, K)
+    diff = np.subtract(pt[:, None, :], pt[:, start:stop, None])
+    d2 = diff[0] * diff[0]
+    for d in range(1, pt.shape[0]):
+        d2 += diff[d] * diff[d]
+    return diff, d2
+
+
+def _median_bandwidth(p, d2=None):
+    """``median_bandwidth`` of (K, m) particles; d2 is their K x K
+    ``_pairwise`` squared distances, computed here when not given."""
+    K = p.shape[0]
+    if K < 2:
+        return 1.0
+    if not np.isfinite(p).all():
+        return math.nan
+    if d2 is None:
+        d2 = _pairwise(p)[1]
+    n = K * (K - 1) // 2
+    kth = K + 2 * (n // 2)
+    d2 = np.partition(d2, kth, axis=None)
+    med = float(d2[kth])
+    if n % 2 == 0:
+        # Lower middle pair value is the largest entry left of kth.
+        med = (float(d2[:kth].max()) + med) / 2.0
+    if med <= 0.0:
+        return 1.0
+    return math.sqrt(med / (2.0 * math.log(K)))
+
+
 def median_bandwidth(particles: np.ndarray) -> float:
     """Median-pairwise heuristic: 2 sigma_k^2 = median(d^2) / log K.
 
@@ -121,30 +156,7 @@ def median_bandwidth(particles: np.ndarray) -> float:
     bitwise equal to ``np.median`` over the upper triangle.  Any non-finite
     particle gives NaN.
     """
-    particles = np.ascontiguousarray(particles, dtype=float)
-    K = particles.shape[0]
-    if K < 2:
-        return 1.0
-    if not np.isfinite(particles).all():
-        return math.nan
-    d2 = np.sum((particles[:, None, :] - particles[None, :, :]) ** 2,
-                axis=-1).ravel()
-    n = K * (K - 1) // 2
-    kth = K + 2 * (n // 2)
-    d2.partition(kth)
-    med = float(d2[kth])
-    if n % 2 == 0:
-        # Lower middle pair value is the largest entry left of kth.
-        med = (float(d2[:kth].max()) + med) / 2.0
-    if med <= 0.0:
-        return 1.0
-    return math.sqrt(med / (2.0 * math.log(K)))
-
-
-def _resolve_bandwidth(cfg: SvgdConfig, particles) -> float:
-    if isinstance(cfg.bandwidth, str):
-        return median_bandwidth(particles)
-    return float(cfg.bandwidth)
+    return _median_bandwidth(np.ascontiguousarray(particles, dtype=float))
 
 
 def _node_count(span: float) -> int:
@@ -170,56 +182,60 @@ def _chebyshev_nodes(r: int):
     return x, w
 
 
-def _direction(p, g, sigma_k, alpha):
+def _direction(p, g, sigma_k, alpha, pairs=None):
     """Stein direction for (K, m) particles.
 
     Scalar controls take the low-rank route when their span is at most
     _MAX_SPAN bandwidths and it evaluates at least _MIN_SAVING times fewer
     exponentials than the blocked loop (K * r against K^2); every other set
-    takes the blocked loop.
+    takes the blocked loop, on the ``_pairwise`` output if given.
     """
     K, m = p.shape
     if m == 1 and K >= 2:
         u = p[:, 0] / sigma_k
-        span = float(u.max() - u.min())
+        lo, hi = u.min(), u.max()
+        span = float(hi - lo)
         if span <= _MAX_SPAN:          # False for a NaN or infinite span
             r = _node_count(span)
             if _MIN_SAVING * r <= K:
-                return _direction_low_rank(u, g[:, 0], sigma_k, alpha, r)
-    return _direction_blocked(p, g, sigma_k, alpha)
+                return _direction_low_rank(u, g[:, 0], sigma_k, alpha, r,
+                                           lo, hi)
+    return _direction_blocked(p, g, sigma_k, alpha, pairs)
 
 
-def _direction_blocked(p, g, sigma_k, alpha):
-    """Stein direction for (K, m) particles, in cache blocks of 64 rows."""
+def _direction_blocked(p, g, sigma_k, alpha, pairs=None):
+    """Stein direction for (K, m) particles, evaluated on every pair.
+
+    Elementwise work runs on all of ``pairs`` at once if given, else on
+    64-row blocks (bounded memory); the BLAS products run per 64-row block
+    either way, as their results depend on the block's shape."""
     K, m = p.shape
     inv2s2 = 1.0 / (2.0 * sigma_k ** 2)
     invs2 = 1.0 / sigma_k ** 2
-    pt = np.ascontiguousarray(p.T)                  # (m, K)
     neg_ag = -alpha * g
     out = np.empty((K, m))
-    for start in range(0, K, _BLOCK):
-        stop = min(start + _BLOCK, K)
-        # [d, i, j] = p_jd - p_id
-        diff = np.subtract(pt[:, None, :], pt[:, start:stop, None])
-        kmat = diff[0] * diff[0]
-        for d in range(1, m):
-            kmat += diff[d] * diff[d]
+    rows = _BLOCK if pairs is None else max(K, 1)
+    for start in range(0, K, rows):
+        stop = min(start + rows, K)
+        diff, kmat = _pairwise(p, start, stop) if pairs is None else pairs
         kmat *= -inv2s2
         np.exp(kmat, out=kmat)
-        attract = kmat @ neg_ag
+        for b in range(0, stop - start, _BLOCK):
+            np.matmul(kmat[b:b + _BLOCK], neg_ag,
+                      out=out[start + b:start + b + _BLOCK])
         for d in range(m):
             diff[d] *= kmat
-        out[start:stop] = attract - invs2 * diff.sum(axis=2).T
+        out[start:stop] -= invs2 * diff.sum(axis=2).T
     return out / K
 
 
-def _direction_low_rank(u, g, sigma_k, alpha, r):
+def _direction_low_rank(u, g, sigma_k, alpha, r, lo, hi):
     """Scalar-control Stein direction through r Chebyshev nodes, (K, 1).
 
-    u = p / sigma_k and g are (K,) vectors.  In the coordinate t = u - mid,
-    centred on the particles' interval [mid - half, mid + half] (widened to
-    half >= 0.5), the kernel is interpolated in its source argument on r
-    Chebyshev points of the first kind c_a = half * x_a:
+    u = p / sigma_k and g are (K,) vectors, lo and hi are u's extremes.  In
+    the coordinate t = u - mid, centred on [mid - half, mid + half] (half
+    widened to >= 0.5), the kernel is interpolated in its source argument
+    on r Chebyshev points of the first kind c_a = half * x_a:
 
         k_ij = exp(-(t_i - t_j)^2 / 2) ~= sum_a E_ia L_a(t_j),
         E_ia = exp(-(t_i - c_a)^2 / 2),
@@ -230,7 +246,6 @@ def _direction_low_rank(u, g, sigma_k, alpha, r):
     keeps |t| <= half, which bounds the cancellation in that difference.
     """
     K = u.shape[0]
-    lo, hi = u.min(), u.max()
     mid = 0.5 * (lo + hi)
     half = max(0.5 * (hi - lo), 0.5)
     t = u - mid
@@ -259,11 +274,16 @@ def _direction_low_rank(u, g, sigma_k, alpha, r):
 
 
 def stein_direction(pset: ParticleSet, cfg: SvgdConfig) -> np.ndarray:
-    """Update direction for every particle, shape (K, m)."""
+    """Update direction for every particle, shape (K, m); with the median
+    bandwidth one ``_pairwise`` pass serves the median and the blocked loop."""
     p = np.ascontiguousarray(pset.particles, dtype=float)
     g = np.ascontiguousarray(pset.grads, dtype=float)
     bad = ~np.isfinite(g).all(axis=1)
     if bad.any():
         raise ValueError(
             f"non-finite gradient for sample index {int(np.nonzero(bad)[0][0])}")
-    return _direction(p, g, _resolve_bandwidth(cfg, p), cfg.alpha)
+    if isinstance(cfg.bandwidth, str):   # "median"
+        pairs = _pairwise(p)
+        return _direction(p, g, _median_bandwidth(p, pairs[1]), cfg.alpha,
+                          pairs)
+    return _direction(p, g, float(cfg.bandwidth), cfg.alpha)

@@ -8,7 +8,7 @@ from soppi import CartPole, CartPoleParams, ControllerConfig, CostSpec, \
     evaluate_batch, mppi_step, rollout, run_episode, soppi_step, \
     update_nominal
 from soppi import cost as cost_mod
-from soppi.sampling import draw_noise, perturb
+from soppi.sampling import SampleBatch, draw_noise, perturb
 from soppi import controller as controller_mod
 from soppi.controller import _refine_controls
 from soppi.harness import DEFAULT_CARTPOLE_CONFIG, parse_config
@@ -247,6 +247,8 @@ class TestSoppiStep:
         assert diverged.any() and not diverged.all()
         np.testing.assert_array_equal(res.weights[diverged], 0.0)
         assert np.all(np.isfinite(res.u_star))
+        assert res.costs.tobytes() == evaluate_batch(
+            cartpole, cartpole_cost, x0, res.refined_batch).tobytes()
 
     def test_mostly_diverged_step_stays_finite(self):
         # The default cart-pole at K=128, sigma=2000, seed 0 diverges most
@@ -261,6 +263,8 @@ class TestSoppiStep:
         assert np.all(np.isfinite(res.refined_batch.controls))
         assert np.all(np.isfinite(res.u_star))
         np.testing.assert_array_equal(res.weights[diverged], 0.0)
+        assert res.costs.tobytes() == evaluate_batch(
+            c.system, c.cost_spec, c.x0, res.refined_batch).tobytes()
 
     def test_nonfinite_refined_control_gets_zero_weight_and_noise(
             self, di, di_cost, monkeypatch):
@@ -293,12 +297,12 @@ class TestSoppiStep:
         controls = np.random.default_rng(0).normal(size=(8, 4, 1))
         controls[3, 0, 0] = np.inf
         x0 = np.array([1.0, 0.0])
-        refined = _refine_controls(di, di_cost, cfg, x0, controls)
+        refined, _ = _refine_controls(di, di_cost, cfg, x0, controls)
         keep = np.arange(8) != 3
         np.testing.assert_array_equal(refined[3], controls[3])
         np.testing.assert_array_equal(
             refined[keep],
-            _refine_controls(di, di_cost, cfg, x0, controls[keep]))
+            _refine_controls(di, di_cost, cfg, x0, controls[keep])[0])
 
 
 _CARTPOLE_Q = np.diag([1.25, 1.0, 12.0, 0.25])
@@ -314,6 +318,13 @@ _STAGED_CASES = {
 }
 
 
+def _staged_spec(system):
+    n = system.state_dim
+    q = _CARTPOLE_Q if n == 4 else np.eye(n)
+    return CostSpec(Q=q, R=np.array([[1e-3]]), Q_T=10 * q,
+                    x_target=np.zeros(n), angle_dims={2} if n == 4 else {0})
+
+
 class TestStagedRefinement:
     """The staged sweep is bitwise equal to stepping afresh in every sweep."""
 
@@ -322,11 +333,7 @@ class TestStagedRefinement:
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
     def test_matches_unstaged_loop_bitwise(self, name, bandwidth, sigma):
         system, x0 = _STAGED_CASES[name]
-        n = system.state_dim
-        q = _CARTPOLE_Q if n == 4 else np.eye(n)
-        spec = CostSpec(Q=q, R=np.array([[1e-3]]), Q_T=10 * q,
-                        x_target=np.zeros(n),
-                        angle_dims={2} if n == 4 else {0})
+        spec = _staged_spec(system)
         K, N = 128, 12
         cfg = ControllerConfig(
             K=K, horizon=N, lambda_=1.0, sigma=sigma, seed=3,
@@ -342,8 +349,29 @@ class TestStagedRefinement:
         expected, masked = unstaged_refine_oracle(system, spec, cfg, x0,
                                                   controls)
         assert (masked > 0) == (sigma > 100)
-        got = _refine_controls(system, spec, cfg, x0, controls)
+        got, costs = _refine_controls(system, spec, cfg, x0, controls)
         assert got.tobytes() == expected.tobytes()
+        batch = SampleBatch(controls=got, noises=None, base=None)
+        assert costs.tobytes() == \
+            evaluate_batch(system, spec, x0, batch).tobytes()
+        assert np.isinf(costs).any() == (sigma > 100)
+
+    @pytest.mark.parametrize("sigma", [5.0, 1e5])
+    @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
+    def test_soppi_step_costs_match_evaluate_batch(self, name, sigma):
+        # soppi_step weights the costs the refinement accumulated; they are
+        # those of a fresh rollout of the refined batch, bit for bit.  At
+        # sigma=1e5 every cart-pole sample without a force limit diverges;
+        # the tests of partly diverged steps check the same equality.
+        system, x0 = _STAGED_CASES[name]
+        spec = _staged_spec(system)
+        cfg = ControllerConfig(
+            K=64, horizon=30, lambda_=1.0, sigma=sigma, seed=2,
+            svgd=SvgdConfig(iterations=5, step_size=0.2, bandwidth="median",
+                            alpha=10.0))
+        res = soppi_step(system, spec, cfg, x0, np.zeros((30, 1)))
+        assert res.costs.tobytes() == evaluate_batch(
+            system, spec, x0, res.refined_batch).tobytes()
 
     def test_force_limit_case_draws_clamped_and_free_controls(self):
         # The force-limited case above must mix clamped and free rows, or
@@ -380,16 +408,14 @@ class TestAllSamplesDiverged:
         np.testing.assert_array_equal(res.applied, U[0])
 
     @pytest.mark.parametrize("algo", ["mppi", "soppi"])
-    def test_returns_the_base_not_zeros(self, di, di_cost, monkeypatch,
-                                        algo):
-        monkeypatch.setattr(controller_mod, "evaluate_batch",
-                            lambda system, spec, x0, batch:
-                            np.full(batch.controls.shape[0], np.inf))
+    def test_returns_the_base_not_zeros(self, di, di_cost, algo):
+        # An infinite start state diverges every sample on both paths.
         cfg = ControllerConfig(K=8, horizon=5, lambda_=1.0, sigma=1.0,
                                svgd=SvgdConfig(iterations=1, bandwidth=1.0))
         U = np.linspace(-1.0, 1.0, 5)[:, None]
         res = controller_mod._STEPPERS[algo](di, di_cost, cfg,
-                                             np.array([1.0, 0.0]), U)
+                                             np.array([np.inf, 0.0]), U)
+        assert np.isinf(res.costs).all()
         np.testing.assert_array_equal(res.u_star, U)
         assert res.u_star is not U
         np.testing.assert_array_equal(res.weights, np.zeros(8))
@@ -400,6 +426,28 @@ class TestAllSamplesDiverged:
                           "soppi", 3)
         assert rec.controls.shape == (3, 1)
         assert np.all(np.isfinite(rec.states))
+
+
+class TestDivergenceGrid:
+    """Both steppers survive the cart-pole's divergent regime: no exception,
+    a finite nominal, and weights that sum to one or are all zero.  SOPPI
+    may diverge more samples than MPPI here (K=64, sigma=5000: all 64
+    against 1-3), so the diverged counts are not compared."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sigma", [5.0, 2000.0, 5000.0, 1e5])
+    @pytest.mark.parametrize("K", [16, 64])
+    def test_steps_stay_finite(self, K, sigma, seed):
+        raw = copy.deepcopy(DEFAULT_CARTPOLE_CONFIG)
+        raw["controller"].update(K=K, horizon=30, sigma=sigma, seed=seed)
+        raw["svgd"].update(bandwidth="median")
+        c = parse_config(raw)
+        U = np.zeros((30, 1))
+        for algo, stepper in controller_mod._STEPPERS.items():
+            res = stepper(c.system, c.cost_spec, c.controller, c.x0, U)
+            assert np.all(np.isfinite(res.u_star)), algo
+            w = res.weights
+            assert (w == 0.0).all() or w.sum() == pytest.approx(1.0), algo
 
 
 class TestRunEpisode:

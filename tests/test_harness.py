@@ -190,6 +190,47 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.controls, b.controls)
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_trial_keeps_the_finished_ones(self, tmp_path,
+                                                  monkeypatch, workers):
+        # Trial 3 raises: trials 0-2 are already on disk and listed in an
+        # incomplete manifest; nothing after the failure is listed.
+        raw = tiny_config()
+        raw["experiment"].update(algos=["mppi"], n_trials=5)
+        real = harness._run_one_trial
+        seen = []
+
+        def run_one(config, algo, trial):
+            if trial == 3:
+                with open(tmp_path / "manifest.json") as fh:
+                    seen.append(json.load(fh))
+                raise RuntimeError("trial 3 failed")
+            return real(config, algo, trial)
+
+        monkeypatch.setattr(harness, "_run_one_trial", run_one)
+        with pytest.raises(RuntimeError, match="trial 3 failed"):
+            harness.run_experiment(harness.parse_config(raw), tmp_path,
+                                   workers=workers)
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["complete"] is False
+        assert manifest["finished"] is not None
+        assert list(manifest["record_files"]) == [
+            f"mppi_trial_{i}.csv" for i in range(3)]
+        for i in range(3):
+            rec = harness.read_record_csv(tmp_path / f"mppi_trial_{i}.csv")
+            assert rec.controls.shape == (10, 1)
+        assert not (tmp_path / "mppi_trial_3.csv").exists()
+        assert not (tmp_path / "mppi_trial_4.csv").exists()
+        assert not (tmp_path / "summary.csv").exists()
+        if workers == 1:
+            # Serially, trial 3 starts after the manifest listing 0-2 is
+            # on disk, so a killed process would leave that one behind.
+            assert seen[0]["complete"] is False
+            assert list(seen[0]["record_files"]) == [
+                f"mppi_trial_{i}.csv" for i in range(3)]
+
+
 class TestSummaryFiles:
     def test_summary_layout(self, tmp_path):
         cfg = harness.parse_config(tiny_config())

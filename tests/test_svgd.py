@@ -185,17 +185,18 @@ def low_rank_calls(monkeypatch):
     calls = []
     real = svgd._direction_low_rank
 
-    def spy(u, g, sigma_k, alpha, r):
+    def spy(u, g, sigma_k, alpha, r, lo, hi):
         calls.append(r)
-        return real(u, g, sigma_k, alpha, r)
+        return real(u, g, sigma_k, alpha, r, lo, hi)
 
     monkeypatch.setattr(svgd, "_direction_low_rank", spy)
     return calls
 
 
 def _blocked(p, g, cfg):
-    return svgd._direction_blocked(p, g, svgd._resolve_bandwidth(cfg, p),
-                                   cfg.alpha)
+    sigma_k = (svgd.median_bandwidth(p) if cfg.bandwidth == "median"
+               else cfg.bandwidth)
+    return svgd._direction_blocked(p, g, sigma_k, cfg.alpha)
 
 
 def _rel_err(a, b):
@@ -374,3 +375,135 @@ def test_config_validation():
         SvgdConfig(bandwidth=-1.0)
     with pytest.raises(ValueError):
         SvgdConfig(alpha=0.0)
+
+
+def median_bandwidth_before_shared_pass(particles):
+    """``median_bandwidth`` before the pair differences were shared with the
+    Stein direction, kept verbatim as a bitwise oracle."""
+    particles = np.ascontiguousarray(particles, dtype=float)
+    K = particles.shape[0]
+    if K < 2:
+        return 1.0
+    if not np.isfinite(particles).all():
+        return math.nan
+    d2 = np.sum((particles[:, None, :] - particles[None, :, :]) ** 2,
+                axis=-1).ravel()
+    n = K * (K - 1) // 2
+    kth = K + 2 * (n // 2)
+    d2.partition(kth)
+    med = float(d2[kth])
+    if n % 2 == 0:
+        med = (float(d2[:kth].max()) + med) / 2.0
+    if med <= 0.0:
+        return 1.0
+    return math.sqrt(med / (2.0 * math.log(K)))
+
+
+def direction_blocked_before_shared_pass(p, g, sigma_k, alpha):
+    """``_direction_blocked`` computing every block's differences itself,
+    kept verbatim as a bitwise oracle."""
+    K, m = p.shape
+    inv2s2 = 1.0 / (2.0 * sigma_k ** 2)
+    invs2 = 1.0 / sigma_k ** 2
+    pt = np.ascontiguousarray(p.T)
+    neg_ag = -alpha * g
+    out = np.empty((K, m))
+    for start in range(0, K, 64):
+        stop = min(start + 64, K)
+        diff = np.subtract(pt[:, None, :], pt[:, start:stop, None])
+        kmat = diff[0] * diff[0]
+        for d in range(1, m):
+            kmat += diff[d] * diff[d]
+        kmat *= -inv2s2
+        np.exp(kmat, out=kmat)
+        attract = kmat @ neg_ag
+        for d in range(m):
+            diff[d] *= kmat
+        out[start:stop] = attract - invs2 * diff.sum(axis=2).T
+    return out / K
+
+
+def _shared_pass_cases(K, m, rng):
+    cases = {
+        "normal": rng.normal(size=(K, m)) * 3.0,
+        # Heavy tails give scalar sets spans past _MAX_SPAN: blocked loop.
+        "cauchy": rng.standard_cauchy(size=(K, m)),
+        "pairs": np.repeat(rng.normal(size=((K + 1) // 2, m)), 2,
+                           axis=0)[:K],
+        "equal": np.full((K, m), -1.25),
+    }
+    for name, bad in [("nan", math.nan), ("inf", math.inf)]:
+        p = rng.normal(size=(K, m))
+        p[K // 2, m - 1] = bad
+        cases[name] = p
+    return cases
+
+
+class TestSharedPairwisePass:
+    """The median path reads one set of pair differences and stays bitwise
+    equal to the median and blocked loop that each computed their own."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("K", [2, 3, 63, 64, 65, 128, 500])
+    def test_median_path_bitwise(self, K, m, low_rank_calls):
+        rng = np.random.default_rng(1000 * K + m)
+        blocked = 0
+        for name, p in _shared_pass_cases(K, m, rng).items():
+            g = rng.normal(size=(K, m)) * 10.0
+            sigma_k = median_bandwidth_before_shared_pass(p)
+            got_sigma = median_bandwidth(p)
+            assert (math.isnan(sigma_k) if name in ("nan", "inf")
+                    else got_sigma == sigma_k), name
+            assert np.array(got_sigma).tobytes() == \
+                np.array(sigma_k).tobytes(), name
+            n_calls = len(low_rank_calls)
+            # A non-finite particle overflows or makes NaN on every route;
+            # the controller runs its sweeps under the same errstate.
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = stein_direction(ParticleSet(p, g),
+                                      SvgdConfig(bandwidth="median",
+                                                 alpha=1.5))
+                if len(low_rank_calls) > n_calls:
+                    # The low-rank route reads no pair differences; it is
+                    # the fixed-bandwidth call at the same bandwidth.
+                    want = svgd._direction(p, g, sigma_k, 1.5)
+                else:
+                    blocked += 1
+                    want = direction_blocked_before_shared_pass(
+                        p, g, sigma_k, 1.5)
+            assert got.tobytes() == want.tobytes(), name
+        assert blocked >= 3
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("K", [2, 63, 64, 65, 130])
+    def test_fixed_bandwidth_blocks_bitwise(self, K, m):
+        rng = np.random.default_rng(K + m)
+        p = rng.normal(size=(K, m)) * 2.0
+        g = rng.normal(size=(K, m))
+        assert svgd._direction_blocked(p, g, 0.7, 2.0).tobytes() == \
+            direction_blocked_before_shared_pass(p, g, 0.7, 2.0).tobytes()
+
+    @pytest.mark.parametrize("bandwidth,K,passes", [
+        ("median", 128, 1), ("median", 500, 1), ("median", 2, 1),
+        (0.5, 128, 2), (0.5, 130, 3)])
+    def test_pairwise_passes_per_call(self, monkeypatch, bandwidth, K,
+                                      passes):
+        # One pass over all particles for the median bandwidth; a fixed one
+        # keeps a pass per 64-row block, and its bounded memory.
+        calls = []
+        real = svgd._pairwise
+
+        def spy(p, start=0, stop=None):
+            calls.append((start, stop))
+            return real(p, start, stop)
+
+        monkeypatch.setattr(svgd, "_pairwise", spy)
+        rng = np.random.default_rng(K)
+        p = rng.standard_cauchy(size=(K, 2))
+        g = rng.normal(size=(K, 2))
+        cfg = SvgdConfig(bandwidth=bandwidth)
+        stein_direction(ParticleSet(p, g), cfg)
+        assert len(calls) == passes
+        calls.clear()
+        median_bandwidth(p)
+        assert calls == [(0, None)]

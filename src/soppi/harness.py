@@ -9,6 +9,7 @@ everything needed to reproduce the records bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -16,6 +17,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,7 +256,7 @@ def run_experiment(config: ExperimentConfig, out_dir,
                    workers: int = 1) -> RunManifest:
     """Run the full trial battery and persist records, summary, manifest.
 
-    Each trial's CSV is written and listed in a rewritten manifest as soon
+    Each trial's CSV and a whole new manifest listing it are written as soon
     as it returns, in job order, so a failed battery keeps finished trials.
     """
     out = Path(out_dir)
@@ -267,14 +269,16 @@ def run_experiment(config: ExperimentConfig, out_dir,
     records: dict[str, dict[int, TrialRecord]] = {a: {} for a in config.algos}
 
     def write_manifest():
-        with open(out / "manifest.json", "w") as fh:
+        with open(out / "manifest.json.tmp", "w") as fh:
             json.dump(dataclasses.asdict(manifest), fh, indent=2)
+        os.replace(out / "manifest.json.tmp", out / "manifest.json")
 
     try:
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-            run = pool.map if workers > 1 else map
-            for (algo, i), rec in zip(jobs, run(
-                    lambda job: _run_one_trial(config, *job), jobs)):
+        with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            trials = (pool.map if pool else map)(
+                _run_one_trial, [config] * len(jobs), *zip(*jobs))
+            for (algo, i), rec in zip(jobs, trials):
                 fname = f"{algo}_trial_{i}.csv"
                 write_record_csv(out / fname, rec)
                 records[algo][i] = rec

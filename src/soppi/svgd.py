@@ -12,16 +12,16 @@ The kernel is the RBF ``exp(-||d||^2 / (2 sigma^2))`` of standard SVGD
 (Liu & Wang, 2016).  ``kernel`` and ``kernel_grad_wrt_first`` are the scalar
 pair definitions the two routines below are tested against.
 
-``_direction_blocked`` evaluates every pair, for any control dimension m, in
-cache blocks of rows; its sum over j runs in sample-index order, so it is
-bit-stable regardless of chunking or thread count; with the median bandwidth
-it reads the median's pair differences (``_pairwise``).  For scalar controls
-(m = 1) whose span is a few bandwidths, ``_direction_low_rank`` interpolates
-the kernel on r Chebyshev nodes and needs K * r exponentials instead of K^2
-(the global form of the black-box fast multipole method, Fong & Darve,
-2009).  It agrees with the blocked routine to rounding (within 1e-12
-norm-wise), not bitwise.  ``_direction`` picks it from K, m and the span
-alone; everything else stays on the blocked routine bit for bit.
+``_direction_blocked`` evaluates every pair, for any control dimension m, on
+the pair differences of ``_pairwise``, which the median bandwidth shares; its
+sum over j runs in sample-index order, so it is bit-stable regardless of
+thread count.  For scalar controls (m = 1) whose span is a few bandwidths,
+``_direction_low_rank`` interpolates the kernel on r Chebyshev nodes and needs
+K * r exponentials instead of K^2 (the global form of the black-box fast
+multipole method, Fong & Darve, 2009).  It agrees with the blocked routine to
+rounding (within 1e-12 norm-wise), not bitwise.  ``_direction`` picks it from
+K, m and the span alone; everything else stays on the blocked routine bit for
+bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLOCK = 64  # rows per cache block in _direction_blocked
+_BLOCK = 64  # rows per kernel-gradient product in _direction_blocked
 # The low-rank route is taken only where _node_count is validated, and only
 # when it needs _MIN_SAVING times fewer exponentials than the blocked loop.
 # On one thread it broke even at K / r of about 2-2.5 for K >= 128 and about
@@ -111,12 +111,12 @@ def kernel_grad_wrt_first(v_a, v_b, sigma_k: float):
     return -diff / s2 * math.exp(-d2 / (2.0 * s2))
 
 
-def _pairwise(p, start=0, stop=None):
-    """Rows start:stop of the pair differences of (K, m) particles p: the
-    C-ordered ``diff[d, i, j] = p_jd - p_id`` and ``d2 = sum_d diff[d]**2``,
-    summed in d order."""
+def _pairwise(p):
+    """Pair differences of (K, m) particles p: the C-ordered
+    ``diff[d, i, j] = p_jd - p_id`` and ``d2 = sum_d diff[d]**2``, summed in
+    d order."""
     pt = np.ascontiguousarray(p.T)                  # (m, K)
-    diff = np.subtract(pt[:, None, :], pt[:, start:stop, None])
+    diff = np.subtract(pt[:, None, :], pt[:, :, None])
     d2 = diff[0] * diff[0]
     for d in range(1, pt.shape[0]):
         d2 += diff[d] * diff[d]
@@ -206,26 +206,22 @@ def _direction(p, g, sigma_k, alpha, pairs=None):
 def _direction_blocked(p, g, sigma_k, alpha, pairs=None):
     """Stein direction for (K, m) particles, evaluated on every pair.
 
-    Elementwise work runs on all of ``pairs`` at once if given, else on
-    64-row blocks (bounded memory); the BLAS products run per 64-row block
-    either way, as their results depend on the block's shape."""
+    Elementwise work runs on the whole ``_pairwise`` output (``pairs`` if
+    given, which it overwrites); the BLAS products run per 64-row block, as
+    their results depend on the block's shape."""
     K, m = p.shape
     inv2s2 = 1.0 / (2.0 * sigma_k ** 2)
     invs2 = 1.0 / sigma_k ** 2
+    diff, kmat = _pairwise(p) if pairs is None else pairs
+    kmat *= -inv2s2
+    np.exp(kmat, out=kmat)
     neg_ag = -alpha * g
     out = np.empty((K, m))
-    rows = _BLOCK if pairs is None else max(K, 1)
-    for start in range(0, K, rows):
-        stop = min(start + rows, K)
-        diff, kmat = _pairwise(p, start, stop) if pairs is None else pairs
-        kmat *= -inv2s2
-        np.exp(kmat, out=kmat)
-        for b in range(0, stop - start, _BLOCK):
-            np.matmul(kmat[b:b + _BLOCK], neg_ag,
-                      out=out[start + b:start + b + _BLOCK])
-        for d in range(m):
-            diff[d] *= kmat
-        out[start:stop] -= invs2 * diff.sum(axis=2).T
+    for b in range(0, K, _BLOCK):
+        np.matmul(kmat[b:b + _BLOCK], neg_ag, out=out[b:b + _BLOCK])
+    for d in range(m):
+        diff[d] *= kmat
+    out -= invs2 * diff.sum(axis=2).T
     return out / K
 
 

@@ -475,7 +475,7 @@ class TestSharedPairwisePass:
         assert blocked >= 3
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("K", [2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("K", [2, 63, 64, 65, 130, 500])
     def test_fixed_bandwidth_blocks_bitwise(self, K, m):
         rng = np.random.default_rng(K + m)
         p = rng.normal(size=(K, m)) * 2.0
@@ -483,19 +483,18 @@ class TestSharedPairwisePass:
         assert svgd._direction_blocked(p, g, 0.7, 2.0).tobytes() == \
             direction_blocked_before_shared_pass(p, g, 0.7, 2.0).tobytes()
 
-    @pytest.mark.parametrize("bandwidth,K,passes", [
-        ("median", 128, 1), ("median", 500, 1), ("median", 2, 1),
-        (0.5, 128, 2), (0.5, 130, 3)])
-    def test_pairwise_passes_per_call(self, monkeypatch, bandwidth, K,
-                                      passes):
-        # One pass over all particles for the median bandwidth; a fixed one
-        # keeps a pass per 64-row block, and its bounded memory.
+    @pytest.mark.parametrize("bandwidth,K", [
+        ("median", 128), ("median", 500), ("median", 2), (0.5, 128),
+        (0.5, 130)])
+    def test_one_pairwise_pass_per_call(self, monkeypatch, bandwidth, K):
+        # The median and the blocked loop share one pass over all
+        # particles; a fixed bandwidth makes one pass too.
         calls = []
         real = svgd._pairwise
 
-        def spy(p, start=0, stop=None):
-            calls.append((start, stop))
-            return real(p, start, stop)
+        def spy(p):
+            calls.append(p.shape)
+            return real(p)
 
         monkeypatch.setattr(svgd, "_pairwise", spy)
         rng = np.random.default_rng(K)
@@ -503,7 +502,7 @@ class TestSharedPairwisePass:
         g = rng.normal(size=(K, 2))
         cfg = SvgdConfig(bandwidth=bandwidth)
         stein_direction(ParticleSet(p, g), cfg)
-        assert len(calls) == passes
+        assert calls == [(K, 2)]
         calls.clear()
         median_bandwidth(p)
-        assert calls == [(0, None)]
+        assert calls == [(K, 2)]

@@ -234,6 +234,31 @@ class TestRunExperiment:
             assert list(seen[0]["record_files"]) == [
                 f"mppi_trial_{i}.csv" for i in range(3)]
 
+    def test_failed_manifest_write_keeps_the_previous_one(self, tmp_path,
+                                                          monkeypatch):
+        # Every manifest write after the first dies part way: manifest.json
+        # must still be the whole first one, listing trial 0.
+        raw = tiny_config()
+        raw["experiment"].update(algos=["mppi"], n_trials=2)
+        real = json.dump
+        calls = []
+
+        def dump(obj, fh, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                fh.write('{"record_files": ')
+                raise OSError("disk full")
+            real(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump)
+        with pytest.raises(OSError, match="disk full"):
+            harness.run_experiment(harness.parse_config(raw), tmp_path)
+        monkeypatch.undo()
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["complete"] is False
+        assert list(manifest["record_files"]) == ["mppi_trial_0.csv"]
+
 
 class TestSummaryFiles:
     def test_summary_layout(self, tmp_path):

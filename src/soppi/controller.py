@@ -1,13 +1,15 @@
 """MPPI and Stein-refined MPPI (SOPPI) stepping, plus episode execution.
 
-One controller step: draw the Gaussian perturbations, optionally refine each
-horizon step's K control particles with SVGD sweeps, roll out every sample,
-softmax-weight the costs, and update the nominal sequence with the weighted
-(refined) perturbations.  The refinement rolls the refined samples out as it
-goes and returns their costs, bitwise equal to ``evaluate_batch``'s.  If
-every sample diverged, the step keeps the nominal it was given, with
-all-zero weights, for both algorithms.  ``soppi_step`` with zero SVGD
-iterations is ``mppi_step``.
+Both algorithms take one controller step, ``_step``, on plain ``(K, N, m)``
+arrays: draw the Gaussian perturbations, add them to the nominal, refine
+each horizon step's K control particles with SVGD sweeps (SOPPI only), roll
+out every sample, softmax-weight the costs, and move the nominal by the
+weighted offsets of the samples from it.  The refinement rolls the refined
+samples out as it goes and returns their costs, bitwise equal to
+``evaluate_batch``'s.  With zero sweeps nothing is refined and the offsets
+are the drawn noise itself, so ``soppi_step`` with zero SVGD iterations is
+``mppi_step`` by construction.  If every sample diverged, the step keeps the
+nominal it was given, with all-zero weights.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import sampling
 from .cost import CostSpec
 from .dynamics import System
 from .metrics import TrialRecord
-from .svgd import ParticleSet, SvgdConfig, stein_direction
+from .svgd import ParticleSet, SvgdConfig, _require_int, stein_direction
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +42,8 @@ class ControllerConfig:
     svgd: SvgdConfig = field(default_factory=SvgdConfig)
 
     def __post_init__(self):
+        for name in ("K", "horizon", "seed"):
+            _require_int(getattr(self, name), name)
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.horizon < 1:
@@ -56,7 +60,7 @@ class StepResult:
     applied: np.ndarray       # (m,) first nominal control
     weights: np.ndarray       # (K,)
     costs: np.ndarray         # (K,)
-    refined_batch: sampling.SampleBatch
+    controls: np.ndarray      # (K, N, m) weighted samples, refined for SOPPI
 
 
 def _mark_diverged(costs: np.ndarray) -> np.ndarray:
@@ -70,13 +74,12 @@ def _mark_diverged(costs: np.ndarray) -> np.ndarray:
 
 
 def evaluate_batch(system: System, spec: CostSpec, x0,
-                   batch: sampling.SampleBatch) -> np.ndarray:
-    """Cost-to-go of every sample's rollout from x0, shape (K,).
+                   controls: np.ndarray) -> np.ndarray:
+    """Cost-to-go of the rollout of each (K, N, m) sample from x0, shape (K,).
 
     Samples whose rollout leaves the finite range get +inf cost (they are
     then ignored by the softmax weighting).
     """
-    controls = batch.controls
     K, N, _ = controls.shape
     x = np.broadcast_to(np.asarray(x0, dtype=float),
                         (K, system.state_dim)).copy()
@@ -113,8 +116,8 @@ def update_nominal(base: np.ndarray, noises: np.ndarray,
 
 
 def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
-                     x0, controls: np.ndarray):
-    """SVGD sweeps over each horizon step's particle set, in horizon order.
+                     x0, controls: np.ndarray, sweeps: int):
+    """``sweeps`` SVGD sweeps over each horizon step's particles in turn.
 
     The sample states stay fixed during a horizon step's sweeps, so their
     state-only step terms (``System._prepare``) and the control Jacobian are
@@ -142,7 +145,7 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
             v = refined[:, t, :].copy()        # contiguous for the sweeps
             z = system._prepare([x[:, i] for i in range(system.state_dim)])
             b_free = system._control_jacobian(z)           # (K, n, m)
-            for _ in range(svgd_cfg.iterations):
+            for _ in range(sweeps):
                 u = [v[:, j] for j in range(m)]
                 x_next = np.stack(system._advance(z, u), axis=-1)
                 d_state, d_control = cost_mod.running_cost_gradients(
@@ -160,54 +163,47 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
     return refined, _mark_diverged(costs)
 
 
-def _weight_and_update(cfg, batch: sampling.SampleBatch,
-                       costs: np.ndarray) -> StepResult:
+def _step(system: System, spec: CostSpec, cfg: ControllerConfig, x0,
+          U_init, step_seed: int | None, sweeps: int) -> StepResult:
+    """One controller step with ``sweeps`` SVGD sweeps per horizon step."""
+    seed = cfg.seed if step_seed is None else step_seed
+    noise = sampling.draw_noise(seed, cfg.K, cfg.horizon, system.control_dim,
+                                cfg.sigma)
+    controls = sampling.perturb(U_init, noise)
+    if sweeps:
+        controls, costs = _refine_controls(system, spec, cfg, x0, controls,
+                                           sweeps)
+        noise = controls - U_init
+        # A non-finite refined control has infinite cost and zero weight;
+        # zero its noise as well, or 0 * inf makes u_star NaN.
+        noise[~np.isfinite(noise)] = 0.0
+    else:
+        costs = evaluate_batch(system, spec, x0, controls)
     if np.isinf(costs).all():
         # Nothing to weight: keep the nominal, which the episode has
         # already shifted, instead of ending the episode.
         log.warning("all %d samples diverged; keeping the nominal",
                     costs.size)
         weights = np.zeros_like(costs)
-        u_star = batch.base.copy()
+        u_star = np.array(U_init, dtype=float)
     else:
         weights = compute_weights(costs, cfg.lambda_)
-        u_star = update_nominal(batch.base, batch.noises.values, weights)
+        u_star = update_nominal(U_init, noise, weights)
     return StepResult(u_star=u_star, applied=u_star[0].copy(),
-                      weights=weights, costs=costs, refined_batch=batch)
-
-
-def _draw_batch(cfg: ControllerConfig, m: int, U_init,
-                step_seed: int | None) -> sampling.SampleBatch:
-    seed = cfg.seed if step_seed is None else step_seed
-    noise = sampling.draw_noise(seed, cfg.K, cfg.horizon, m, cfg.sigma)
-    return sampling.perturb(U_init, noise)
+                      weights=weights, costs=costs, controls=controls)
 
 
 def mppi_step(system: System, spec: CostSpec, cfg: ControllerConfig,
               x0, U_init, step_seed: int | None = None) -> StepResult:
     """One plain MPPI step from state x0 around the nominal U_init."""
-    batch = _draw_batch(cfg, system.control_dim, U_init, step_seed)
-    return _weight_and_update(cfg, batch,
-                              evaluate_batch(system, spec, x0, batch))
+    return _step(system, spec, cfg, x0, U_init, step_seed, 0)
 
 
 def soppi_step(system: System, spec: CostSpec, cfg: ControllerConfig,
                x0, U_init, step_seed: int | None = None) -> StepResult:
-    """One Stein-refined step, weighting the costs the refinement returns;
-    mppi_step itself when iterations == 0."""
-    if cfg.svgd.iterations == 0:
-        return mppi_step(system, spec, cfg, x0, U_init, step_seed)
-    batch = _draw_batch(cfg, system.control_dim, U_init, step_seed)
-    refined, costs = _refine_controls(system, spec, cfg, x0, batch.controls)
-    values = refined - batch.base
-    # A non-finite refined control has a non-finite control cost, so it
-    # gets zero weight; zero its noise as well, or 0 * inf makes u_star NaN.
-    values[~np.isfinite(values)] = 0.0
-    noise = sampling.NoiseTensor(values=values, seed=batch.noises.seed,
-                                 sigma=batch.noises.sigma)
-    batch = sampling.SampleBatch(controls=refined, noises=noise,
-                                 base=batch.base)
-    return _weight_and_update(cfg, batch, costs)
+    """One Stein-refined step with ``cfg.svgd.iterations`` sweeps."""
+    return _step(system, spec, cfg, x0, U_init, step_seed,
+                 cfg.svgd.iterations)
 
 
 _STEPPERS = {"mppi": mppi_step, "soppi": soppi_step}

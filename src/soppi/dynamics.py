@@ -9,7 +9,7 @@ Each system splits its step in two.  ``_prepare(s)`` computes the terms that
 depend on the state alone (for the cart-pole: sin/cos theta, the centripetal,
 friction and gravity terms and the denominator of the accelerations);
 ``_advance(z, u)`` finishes the step from those terms and the control, in the
-same operation order as the undivided formula.  ``_step_components`` composes
+same operation order as the undivided formula.  ``step_unchecked`` composes
 the two, so a single state evaluated once is bitwise equal to the prepared
 terms advanced with any control.  The SOPPI refinement, which evaluates one
 state under several controls, prepares once and advances per control.  The
@@ -111,10 +111,6 @@ class System:
         """Next-state components from prepared terms and control components."""
         raise NotImplementedError
 
-    def _step_components(self, s, u):
-        """Next-state components from unpacked state/control components."""
-        return self._advance(self._prepare(s), u)
-
     def _control_jacobian(self, z):
         """d(next state)/d(control) at prepared terms for an unclamped control,
         shape ``(..., n, m)``."""
@@ -127,10 +123,7 @@ class System:
 
     def step(self, state, control):
         """One semi-implicit Euler step.  Accepts ``(..., n)`` batches."""
-        state, control = _check(self, state, control)
-        s = [state[..., i] for i in range(self.state_dim)]
-        u = [control[..., j] for j in range(self.control_dim)]
-        return np.stack(self._step_components(s, u), axis=-1)
+        return self.step_unchecked(*_check(self, state, control))
 
     def step_unchecked(self, state, control):
         """As :meth:`step` but without finiteness/shape validation.
@@ -140,7 +133,7 @@ class System:
         """
         s = [state[..., i] for i in range(self.state_dim)]
         u = [control[..., j] for j in range(self.control_dim)]
-        return np.stack(self._step_components(s, u), axis=-1)
+        return np.stack(self._advance(self._prepare(s), u), axis=-1)
 
     def jacobians(self, state, control) -> Jacobians:
         """Exact Jacobians of :meth:`step` by complex step.

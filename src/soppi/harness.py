@@ -26,12 +26,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .controller import ControllerConfig, run_episode
+from .controller import _STEPPERS, ControllerConfig, run_episode
 from .cost import CostSpec
 from .dynamics import System, make_system
 from .metrics import (SettlingCriterion, SummaryRow, TrialRecord, mse,
                       settling_time, summarize, welch_t_test_one_tailed)
-from .svgd import SvgdConfig
+from .svgd import SvgdConfig, _require_int
 
 log = logging.getLogger(__name__)
 
@@ -129,9 +129,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _reject_unknown(exp_sec, {"algos", "n_trials", "base_seed", "t_total",
                               "x0", "out_dir"}, "experiment")
     algos = list(exp_sec["algos"])
-    if not algos:
-        raise ValueError("experiment.algos must be non-empty")
-    n_trials = int(exp_sec.get("n_trials", 5))
+    known = sorted(_STEPPERS)
+    if not algos or any(a not in known or algos.count(a) > 1 for a in algos):
+        raise ValueError(f"experiment.algos must be distinct names from "
+                         f"{known}, got {algos!r}")
+    n_trials = exp_sec.get("n_trials", 5)
+    base_seed = exp_sec.get("base_seed", 0)
+    _require_int(n_trials, "experiment.n_trials")
+    _require_int(base_seed, "experiment.base_seed")
     if n_trials < 1:
         raise ValueError("experiment.n_trials must be >= 1")
     x0 = np.asarray(exp_sec["x0"], dtype=float)
@@ -139,8 +144,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ValueError("experiment.x0 dimension does not match the system")
     return ExperimentConfig(
         raw=raw, system=system, cost_spec=cost_spec, controller=controller,
-        algos=algos, n_trials=n_trials,
-        base_seed=int(exp_sec.get("base_seed", 0)),
+        algos=algos, n_trials=n_trials, base_seed=base_seed,
         t_total=float(exp_sec.get("t_total", 1.0)), x0=x0)
 
 

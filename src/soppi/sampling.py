@@ -10,8 +10,6 @@ thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
@@ -33,33 +31,15 @@ def _splitmix(z):
     return z
 
 
-@dataclass(frozen=True)
-class NoiseTensor:
-    """K x N x m Gaussian perturbations plus the recipe that made them."""
-
-    values: np.ndarray
-    seed: int
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Perturbed control sequences: controls = base + noises."""
-
-    controls: np.ndarray   # (K, N, m)
-    noises: NoiseTensor
-    base: np.ndarray       # (N, m)
-
-
-def draw_noise(seed: int, K: int, N: int, m: int, sigma) -> NoiseTensor:
-    """Zero-mean i.i.d. Gaussian tensor of shape (K, N, m).
+def draw_noise(seed: int, K: int, N: int, m: int, sigma) -> np.ndarray:
+    """Zero-mean i.i.d. Gaussian float64 array of shape (K, N, m).
 
     sigma may be a scalar or a length-m vector of per-dimension standard
     deviations; it must be strictly positive.
     """
     if K < 1 or N < 1 or m < 1:
         raise ValueError("K, N, m must all be >= 1")
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (m,)).copy()
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (m,))
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
         raise ValueError("sigma must be strictly positive and finite")
     seed_u = np.uint64(np.int64(seed).astype(np.uint64))
@@ -72,17 +52,16 @@ def draw_noise(seed: int, K: int, N: int, m: int, sigma) -> NoiseTensor:
     h = _splitmix(h ^ js)
     # 53-bit mantissa, offset by half an ulp so u is never exactly 0 or 1
     u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    values = ndtri(u) * sigma
-    return NoiseTensor(values=values, seed=int(seed), sigma=sigma)
+    return ndtri(u) * sigma
 
 
-def perturb(base, noise: NoiseTensor) -> SampleBatch:
-    """Add the noise tensor to the nominal sequence; base is not modified."""
+def perturb(base, noise: np.ndarray) -> np.ndarray:
+    """The (K, N, m) samples base + noise; base is not modified."""
     base = np.asarray(base, dtype=float)
-    if base.shape != noise.values.shape[1:]:
+    if base.shape != noise.shape[1:]:
         raise ValueError(
-            f"base shape {base.shape} does not match noise {noise.values.shape[1:]}")
-    return SampleBatch(controls=base + noise.values, noises=noise, base=base)
+            f"base shape {base.shape} does not match noise {noise.shape[1:]}")
+    return base + noise
 
 
 def derive_step_seed(seed: int, step_index: int) -> int:

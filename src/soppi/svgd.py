@@ -42,6 +42,12 @@ _MAX_SPAN = 30.0
 _MIN_SAVING = 4
 
 
+def _require_int(value, name):
+    """Raise ValueError unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SvgdConfig:
     """Stein refinement settings.
@@ -58,11 +64,12 @@ class SvgdConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
+        _require_int(self.iterations, "iterations")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.iterations > 0 and self.step_size <= 0:
             raise ValueError("step_size must be positive when iterations > 0")
-        if isinstance(self.bandwidth, str):
+        if isinstance(self.bandwidth, (str, bool)):
             if self.bandwidth != "median":
                 raise ValueError("bandwidth must be a number or 'median'")
         elif self.bandwidth <= 0:

@@ -8,7 +8,7 @@ from soppi import CartPole, CartPoleParams, ControllerConfig, CostSpec, \
     evaluate_batch, mppi_step, rollout, run_episode, soppi_step, \
     update_nominal
 from soppi import cost as cost_mod
-from soppi.sampling import SampleBatch, draw_noise, perturb
+from soppi.sampling import draw_noise, perturb
 from soppi import controller as controller_mod
 from soppi.controller import _refine_controls
 from soppi.harness import DEFAULT_CARTPOLE_CONFIG, parse_config
@@ -98,23 +98,18 @@ class TestComputeWeights:
 
 class TestEvaluateBatch:
     def test_matches_rollout_cost(self, di, di_cost):
-        noise = draw_noise(3, 8, 5, 1, 1.0)
-        batch = perturb(np.zeros((5, 1)), noise)
+        controls = perturb(np.zeros((5, 1)), draw_noise(3, 8, 5, 1, 1.0))
         x0 = np.array([1.0, -0.5])
-        costs = evaluate_batch(di, di_cost, x0, batch)
+        costs = evaluate_batch(di, di_cost, x0, controls)
         for k in range(8):
-            states = rollout(di, x0, batch.controls[k])
+            states = rollout(di, x0, controls[k])
             assert costs[k] == pytest.approx(
-                cost_to_go(di_cost, states, batch.controls[k]), rel=1e-12)
+                cost_to_go(di_cost, states, controls[k]), rel=1e-12)
 
     def test_diverged_sample_gets_inf(self, di, di_cost, caplog):
-        noise = draw_noise(0, 2, 3, 1, 1e-9)
-        batch = perturb(np.zeros((3, 1)), noise)
-        controls = batch.controls.copy()
+        controls = perturb(np.zeros((3, 1)), draw_noise(0, 2, 3, 1, 1e-9))
         controls[1, 0, 0] = 1e200  # blows up the quadratic cost
-        bad = perturb(np.zeros((3, 1)), noise)
-        object.__setattr__(bad, "controls", controls)
-        costs = evaluate_batch(di, di_cost, np.zeros(2), bad)
+        costs = evaluate_batch(di, di_cost, np.zeros(2), controls)
         assert np.isfinite(costs[0]) and np.isinf(costs[1])
 
 
@@ -162,8 +157,7 @@ class TestMppiStep:
     def test_k1_returns_the_only_sample(self, di, di_cost):
         cfg = ControllerConfig(K=1, horizon=4, lambda_=1.0, sigma=1.0, seed=9)
         res = mppi_step(di, di_cost, cfg, np.zeros(2), np.zeros((4, 1)))
-        np.testing.assert_allclose(res.u_star,
-                                   res.refined_batch.controls[0], rtol=1e-12)
+        np.testing.assert_allclose(res.u_star, res.controls[0], rtol=1e-12)
 
     def test_applied_is_first_nominal(self, di, di_cost):
         cfg = ControllerConfig(K=16, horizon=6, lambda_=1.0, sigma=1.0)
@@ -193,8 +187,7 @@ class TestSoppiStep:
         x0 = np.array([1.0, 0.5])
         res = soppi_step(di, di_cost, cfg, x0, np.zeros((2, 1)))
 
-        raw = perturb(np.zeros((2, 1)),
-                      draw_noise(cfg.seed, 1, 2, 1, 1.0)).controls[0]
+        raw = perturb(np.zeros((2, 1)), draw_noise(cfg.seed, 1, 2, 1, 1.0))[0]
         dt = di.dt
         b_col = np.array([dt * dt, dt])  # d x_next / d u for this system
         x, expected = x0.copy(), []
@@ -206,7 +199,7 @@ class TestSoppiStep:
             expected.append(v)
             x = di.step(x, np.array([v]))
         np.testing.assert_allclose(
-            res.refined_batch.controls[0, :, 0], expected, rtol=1e-12)
+            res.controls[0, :, 0], expected, rtol=1e-12)
 
     def test_refined_noise_consistency(self, di, di_cost):
         cfg = ControllerConfig(K=16, horizon=5, lambda_=1.0, sigma=1.0,
@@ -214,9 +207,8 @@ class TestSoppiStep:
                                svgd=SvgdConfig(iterations=2, bandwidth=1.0))
         base = np.linspace(0, 1, 5)[:, None]
         res = soppi_step(di, di_cost, cfg, np.ones(2), base)
-        batch = res.refined_batch
-        np.testing.assert_allclose(batch.base + batch.noises.values,
-                                   batch.controls, rtol=1e-12)
+        np.testing.assert_array_equal(
+            res.u_star, update_nominal(base, res.controls - base, res.weights))
 
     def test_refinement_changes_controls(self, di, di_cost):
         common = dict(K=16, horizon=5, lambda_=1.0, sigma=1.0, seed=1)
@@ -226,8 +218,7 @@ class TestSoppiStep:
         x0 = np.array([2.0, 0.0])
         a = soppi_step(di, di_cost, plain, x0, np.zeros((5, 1)))
         b = soppi_step(di, di_cost, refined, x0, np.zeros((5, 1)))
-        assert not np.array_equal(a.refined_batch.controls,
-                                  b.refined_batch.controls)
+        assert not np.array_equal(a.controls, b.controls)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_diverged_samples_get_infinite_cost_not_an_error(
@@ -248,7 +239,7 @@ class TestSoppiStep:
         np.testing.assert_array_equal(res.weights[diverged], 0.0)
         assert np.all(np.isfinite(res.u_star))
         assert res.costs.tobytes() == evaluate_batch(
-            cartpole, cartpole_cost, x0, res.refined_batch).tobytes()
+            cartpole, cartpole_cost, x0, res.controls).tobytes()
 
     def test_mostly_diverged_step_stays_finite(self):
         # The default cart-pole at K=128, sigma=2000, seed 0 diverges most
@@ -260,11 +251,11 @@ class TestSoppiStep:
         res = soppi_step(c.system, c.cost_spec, c.controller, c.x0, U)
         diverged = np.isinf(res.costs)
         assert diverged.any() and not diverged.all()
-        assert np.all(np.isfinite(res.refined_batch.controls))
+        assert np.all(np.isfinite(res.controls))
         assert np.all(np.isfinite(res.u_star))
         np.testing.assert_array_equal(res.weights[diverged], 0.0)
         assert res.costs.tobytes() == evaluate_batch(
-            c.system, c.cost_spec, c.x0, res.refined_batch).tobytes()
+            c.system, c.cost_spec, c.x0, res.controls).tobytes()
 
     def test_nonfinite_refined_control_gets_zero_weight_and_noise(
             self, di, di_cost, monkeypatch):
@@ -281,11 +272,14 @@ class TestSoppiStep:
                                seed=5, svgd=SvgdConfig(iterations=1))
         res = soppi_step(di, di_cost, cfg, np.array([1.0, 0.0]),
                          np.zeros((4, 1)))
-        bad = ~np.isfinite(res.refined_batch.controls).all(axis=(1, 2))
+        bad = ~np.isfinite(res.controls).all(axis=(1, 2))
         assert bad[0] and not bad.all()
         np.testing.assert_array_equal(res.weights[bad], 0.0)
-        assert np.all(np.isfinite(res.refined_batch.noises.values))
         assert np.all(np.isfinite(res.u_star))
+        np.testing.assert_array_equal(
+            res.u_star, update_nominal(np.zeros((4, 1)),
+                                       np.where(bad[:, None, None], 0.0,
+                                                res.controls), res.weights))
 
     def test_nonfinite_gradient_rows_stay_put(self, di, di_cost):
         # An infinite control makes sample 3's gradient non-finite at every
@@ -297,12 +291,12 @@ class TestSoppiStep:
         controls = np.random.default_rng(0).normal(size=(8, 4, 1))
         controls[3, 0, 0] = np.inf
         x0 = np.array([1.0, 0.0])
-        refined, _ = _refine_controls(di, di_cost, cfg, x0, controls)
+        refined, _ = _refine_controls(di, di_cost, cfg, x0, controls, 2)
         keep = np.arange(8) != 3
         np.testing.assert_array_equal(refined[3], controls[3])
         np.testing.assert_array_equal(
             refined[keep],
-            _refine_controls(di, di_cost, cfg, x0, controls[keep])[0])
+            _refine_controls(di, di_cost, cfg, x0, controls[keep], 2)[0])
 
 
 _CARTPOLE_Q = np.diag([1.25, 1.0, 12.0, 0.25])
@@ -340,7 +334,7 @@ class TestStagedRefinement:
             svgd=SvgdConfig(iterations=5, step_size=0.2, bandwidth=bandwidth,
                             alpha=10.0))
         controls = perturb(np.zeros((N, 1)),
-                           draw_noise(cfg.seed, K, N, 1, sigma)).controls
+                           draw_noise(cfg.seed, K, N, 1, sigma))
         if sigma > 100:
             # Diverged rows: an infinite control, and one beyond the float
             # range after a step, so some sweeps mask rows.
@@ -349,11 +343,10 @@ class TestStagedRefinement:
         expected, masked = unstaged_refine_oracle(system, spec, cfg, x0,
                                                   controls)
         assert (masked > 0) == (sigma > 100)
-        got, costs = _refine_controls(system, spec, cfg, x0, controls)
+        got, costs = _refine_controls(system, spec, cfg, x0, controls, 5)
         assert got.tobytes() == expected.tobytes()
-        batch = SampleBatch(controls=got, noises=None, base=None)
         assert costs.tobytes() == \
-            evaluate_batch(system, spec, x0, batch).tobytes()
+            evaluate_batch(system, spec, x0, got).tobytes()
         assert np.isinf(costs).any() == (sigma > 100)
 
     @pytest.mark.parametrize("sigma", [5.0, 1e5])
@@ -371,14 +364,13 @@ class TestStagedRefinement:
                             alpha=10.0))
         res = soppi_step(system, spec, cfg, x0, np.zeros((30, 1)))
         assert res.costs.tobytes() == evaluate_batch(
-            system, spec, x0, res.refined_batch).tobytes()
+            system, spec, x0, res.controls).tobytes()
 
     def test_force_limit_case_draws_clamped_and_free_controls(self):
         # The force-limited case above must mix clamped and free rows, or
         # it tests nothing beyond the unclamped one.
         system, x0 = _STAGED_CASES["cartpole_force_limit"]
-        controls = perturb(np.zeros((12, 1)),
-                           draw_noise(3, 128, 12, 1, 5.0)).controls
+        controls = perturb(np.zeros((12, 1)), draw_noise(3, 128, 12, 1, 5.0))
         saturated = np.abs(controls) > system.params.force_limit
         assert saturated.any() and not saturated.all()
 

@@ -371,6 +371,26 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("controller", "K", 2.5), ("controller", "K", True),
+        ("controller", "horizon", 2.5), ("controller", "seed", 1.5),
+        ("svgd", "iterations", 2.5), ("svgd", "bandwidth", True),
+        ("experiment", "n_trials", 2.7), ("experiment", "base_seed", "0"),
+        ("experiment", "algos", ["cem"]),
+        ("experiment", "algos", ["soppi", "soppi"]),
+    ])
+    def test_malformed_value_rejected_before_any_output(
+            self, tmp_path, capsys, section, key, value):
+        raw = tiny_config()
+        raw[section][key] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "res"
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_results_dir(self, tmp_path, capsys):
         rc = cli_main(["summarize", "--in", str(tmp_path / "nope")])
         assert rc == 1

@@ -80,9 +80,9 @@ def build_parser():
     run.add_argument("--seed", type=int, help="override base seed")
     run.add_argument("--out", help="output directory")
     run.add_argument("--workers", type=int, default=1,
-                     help="parallel trial threads; on 2 vCPUs a 2-worker "
-                          "pendulum battery took about 1.8x the serial time "
-                          "(a process pool waits on a benchmark-only change)")
+                     help="an integer >= 1; trials run one at a time "
+                          "whatever its value (on 2 vCPUs two threads took "
+                          "1.3-2.0x the serial battery time)")
     run.set_defaults(func=_cmd_run)
 
     summ = sub.add_parser("summarize", help="summarize a results directory")

@@ -25,7 +25,8 @@ from . import sampling
 from .cost import CostSpec
 from .dynamics import System
 from .metrics import TrialRecord
-from .svgd import ParticleSet, SvgdConfig, _require_int, stein_direction
+from .svgd import (ParticleSet, SvgdConfig, _require_int, _require_positive,
+                   stein_direction)
 
 log = logging.getLogger(__name__)
 
@@ -42,14 +43,11 @@ class ControllerConfig:
     svgd: SvgdConfig = field(default_factory=SvgdConfig)
 
     def __post_init__(self):
-        for name in ("K", "horizon", "seed"):
-            _require_int(getattr(self, name), name)
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.lambda_ <= 0:
-            raise ValueError("lambda must be positive")
+        _require_int(self.K, "K", 1)
+        _require_int(self.horizon, "horizon", 1)
+        _require_int(self.seed, "seed")
+        _require_positive(self.lambda_, "lambda")
+        _require_positive(self.sigma, "sigma", scalar=False)
 
 
 @dataclass(frozen=True)

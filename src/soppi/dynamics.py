@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .svgd import _require_positive
+
 _COMPLEX_STEP = 1e-30
 
 
@@ -71,12 +73,8 @@ class CartPoleParams:
     pole_friction: float = 0.0
 
     def __post_init__(self):
-        if self.cart_mass <= 0 or self.pole_mass <= 0:
-            raise ValueError("masses must be strictly positive")
-        if self.pole_half_length <= 0:
-            raise ValueError("pole_half_length must be strictly positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("cart_mass", "pole_mass", "pole_half_length", "dt"):
+            _require_positive(getattr(self, name), name)
 
 
 def _check(system, state, control):
@@ -243,8 +241,7 @@ class DoubleIntegrator(System):
     control_dim = 1
 
     def __init__(self, dt: float = 0.02):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        _require_positive(dt, "dt")
         self.dt = dt
 
     def _advance(self, z, u):
@@ -265,10 +262,8 @@ class Pendulum(System):
 
     def __init__(self, mass=1.0, length=1.0, gravity=9.8, damping=0.0,
                  dt=0.02):
-        if mass <= 0 or length <= 0:
-            raise ValueError("mass and length must be strictly positive")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        for name, value in (("mass", mass), ("length", length), ("dt", dt)):
+            _require_positive(value, name)
         self.mass = mass
         self.length = length
         self.gravity = gravity

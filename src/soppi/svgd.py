@@ -42,10 +42,22 @@ _MAX_SPAN = 30.0
 _MIN_SAVING = 4
 
 
-def _require_int(value, name):
-    """Raise ValueError unless value is an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _require_int(value, name, minimum=None):
+    """Raise ValueError unless value is an integer (a bool is not one) and,
+    if minimum is given, at least minimum."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def _require_positive(value, name, scalar=True):
+    """Raise ValueError unless value is a finite number > 0 (every entry of
+    it, if not scalar); a bool is not a number."""
+    arr = np.asarray(value)
+    if (arr.dtype.kind not in "iuf" or arr.size == 0 or (scalar and arr.ndim)
+            or not (np.isfinite(arr) & (arr > 0)).all()):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
@@ -64,18 +76,14 @@ class SvgdConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        _require_int(self.iterations, "iterations")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.iterations > 0 and self.step_size <= 0:
-            raise ValueError("step_size must be positive when iterations > 0")
-        if isinstance(self.bandwidth, (str, bool)):
+        _require_int(self.iterations, "iterations", 0)
+        _require_positive(self.step_size, "step_size")
+        _require_positive(self.alpha, "alpha")
+        if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 raise ValueError("bandwidth must be a number or 'median'")
-        elif self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        else:
+            _require_positive(self.bandwidth, "bandwidth")
 
 
 @dataclass(frozen=True)
@@ -98,24 +106,15 @@ def kernel(v_a, v_b, sigma_k: float):
     v_b = np.asarray(v_b, dtype=float)
     if v_a.shape != v_b.shape:
         raise ValueError("kernel arguments must have equal dimension")
-    if sigma_k <= 0:
-        raise ValueError("sigma_k must be positive")
+    _require_positive(sigma_k, "sigma_k")
     d2 = np.dot(v_a - v_b, v_a - v_b)
     return math.exp(-d2 / (2.0 * sigma_k ** 2))
 
 
 def kernel_grad_wrt_first(v_a, v_b, sigma_k: float):
     """Exact gradient of the kernel with respect to its first argument."""
-    v_a = np.asarray(v_a, dtype=float)
-    v_b = np.asarray(v_b, dtype=float)
-    if v_a.shape != v_b.shape:
-        raise ValueError("kernel arguments must have equal dimension")
-    if sigma_k <= 0:
-        raise ValueError("sigma_k must be positive")
-    diff = v_a - v_b
-    d2 = np.dot(diff, diff)
-    s2 = sigma_k ** 2
-    return -diff / s2 * math.exp(-d2 / (2.0 * s2))
+    k = kernel(v_a, v_b, sigma_k)
+    return -(np.asarray(v_a, dtype=float) - v_b) / sigma_k ** 2 * k
 
 
 def _pairwise(p):

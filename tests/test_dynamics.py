@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soppi import CartPole, CartPoleParams, DoubleIntegrator, Pendulum, rollout
+from soppi.dynamics import make_system
 from conftest import central_diff_jacobian
 
 
@@ -20,6 +21,17 @@ def florian_cartpole_oracle(params, state, force):
     xd2 = xd + x_acc * params.dt
     thd2 = thd + th_acc * params.dt
     return np.array([x + xd2 * params.dt, xd2, th + thd2 * params.dt, thd2])
+
+
+@pytest.mark.parametrize("system_id,name,value", [
+    ("cartpole", "dt", np.nan), ("cartpole", "pole_mass", 0.0),
+    ("cartpole", "cart_mass", True), ("cartpole", "pole_half_length", np.inf),
+    ("pendulum", "length", np.inf), ("pendulum", "dt", -0.02),
+    ("pendulum", "mass", np.nan), ("double_integrator", "dt", np.nan),
+])
+def test_bad_parameter_rejected(system_id, name, value):
+    with pytest.raises(ValueError, match=name):
+        make_system(system_id, {name: value})
 
 
 class TestCartPoleStep:

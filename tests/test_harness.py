@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -202,11 +203,8 @@ class TestRunExperiment:
 
         def run_one(config, algo, trial):
             if trial == 3:
-                if workers == 1:
-                    # With two workers trial 3 may start while the manifest
-                    # is yet to be written.
-                    with open(tmp_path / "manifest.json") as fh:
-                        seen.append(json.load(fh))
+                with open(tmp_path / "manifest.json") as fh:
+                    seen.append(json.load(fh))
                 raise RuntimeError("trial 3 failed")
             return real(config, algo, trial)
 
@@ -227,12 +225,40 @@ class TestRunExperiment:
         assert not (tmp_path / "mppi_trial_4.csv").exists()
         assert not (tmp_path / "summary.csv").exists()
         assert not (tmp_path / "manifest.json.tmp").exists()
-        if workers == 1:
-            # Serially, trial 3 starts after the manifest listing 0-2 is
-            # on disk, so a killed process would leave that one behind.
-            assert seen[0]["complete"] is False
-            assert list(seen[0]["record_files"]) == [
-                f"mppi_trial_{i}.csv" for i in range(3)]
+        # Trial 3 starts after the manifest listing 0-2 is on disk, so a
+        # killed process would leave that one behind.
+        assert seen[0]["complete"] is False
+        assert list(seen[0]["record_files"]) == [
+            f"mppi_trial_{i}.csv" for i in range(3)]
+
+    def test_trials_run_one_at_a_time_in_job_order(self, tmp_path,
+                                                   monkeypatch):
+        # workers=2 still runs each trial to its end, in the calling thread,
+        # before the next one starts.
+        real = harness._run_one_trial
+        events = []
+
+        def run_one(config, algo, trial):
+            events.append(("enter", algo, trial, threading.get_ident()))
+            rec = real(config, algo, trial)
+            events.append(("exit", algo, trial, threading.get_ident()))
+            return rec
+
+        monkeypatch.setattr(harness, "_run_one_trial", run_one)
+        harness.run_experiment(harness.parse_config(tiny_config()), tmp_path,
+                               workers=2)
+        me = threading.get_ident()
+        assert events == [(edge, algo, i, me)
+                          for algo in ("mppi", "soppi") for i in range(3)
+                          for edge in ("enter", "exit")]
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5])
+    def test_bad_worker_count_rejected_before_any_output(self, tmp_path,
+                                                         workers):
+        with pytest.raises(ValueError, match="workers"):
+            harness.run_experiment(harness.parse_config(tiny_config()),
+                                   tmp_path / "res", workers=workers)
+        assert not (tmp_path / "res").exists()
 
     def test_failed_manifest_write_keeps_the_previous_one(self, tmp_path,
                                                           monkeypatch):
@@ -378,6 +404,23 @@ class TestCli:
         ("experiment", "n_trials", 2.7), ("experiment", "base_seed", "0"),
         ("experiment", "algos", ["cem"]),
         ("experiment", "algos", ["soppi", "soppi"]),
+        ("controller", "sigma", 0), ("controller", "sigma", -1.0),
+        ("controller", "sigma", math.nan), ("controller", "sigma", math.inf),
+        ("controller", "sigma", True), ("controller", "sigma", [1.0, 2.0]),
+        ("controller", "sigma", [[1.0]]),
+        ("controller", "lambda", True), ("controller", "lambda", math.nan),
+        ("controller", "lambda", math.inf),
+        ("svgd", "step_size", True), ("svgd", "step_size", math.nan),
+        ("svgd", "step_size", -math.inf),
+        ("svgd", "alpha", False), ("svgd", "alpha", math.nan),
+        ("svgd", "alpha", math.inf),
+        ("svgd", "bandwidth", math.nan), ("svgd", "bandwidth", math.inf),
+        ("experiment", "t_total", -5), ("experiment", "t_total", 0.0),
+        ("experiment", "t_total", math.nan),
+        ("experiment", "t_total", math.inf),
+        ("experiment", "t_total", True),
+        ("experiment", "x0", [0.0, 0.0, math.nan, 0.0]),
+        ("experiment", "x0", [0.0, math.inf, 0.0, 0.0]),
     ])
     def test_malformed_value_rejected_before_any_output(
             self, tmp_path, capsys, section, key, value):
@@ -389,6 +432,17 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_is_an_error_exit(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                       "--workers", workers])
+        assert rc == 1
+        assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_results_dir(self, tmp_path, capsys):

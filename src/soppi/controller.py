@@ -220,6 +220,9 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
     if algo not in _STEPPERS:
         raise ValueError(f"unknown algorithm {algo!r}; known: {sorted(_STEPPERS)}")
     stepper = _STEPPERS[algo]
+    # draw_noise imports scipy.special on first use; load it here so that
+    # no timed step pays for the import.
+    import scipy.special  # noqa: F401
     x = np.asarray(x0, dtype=float).copy()
     U = np.zeros((cfg.horizon, system.control_dim))
     states = [x.copy()]

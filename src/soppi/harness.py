@@ -8,6 +8,12 @@ everything needed to reproduce the records bit for bit.
 
 Trials run one at a time: on 2 vCPUs two threads took 1.3-2.0x the serial
 battery time (each SOPPI step 2.4-3.2x) as they contended for the GIL.
+
+Importing this module and parsing a config load numpy but not scipy:
+``code_fingerprint`` imports scipy for its version, and ``scipy.special``
+loads when the first episode starts (see ``sampling``).  Commands that never
+step, such as ``soppi plotdata`` or a run that fails config checks, skip
+that import, which costs about as much as numpy's.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .controller import _STEPPERS, ControllerConfig, run_episode
@@ -86,7 +91,7 @@ class ExperimentConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_total / self.system.dt)))
+        return round(self.t_total / self.system.dt)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -143,6 +148,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require_int(base_seed, "experiment.base_seed")
     t_total = exp_sec.get("t_total", 1.0)
     _require_positive(t_total, "experiment.t_total")
+    steps = t_total / system.dt
+    if round(steps) < 1 or not math.isclose(steps, round(steps),
+                                             rel_tol=1e-9):
+        raise ValueError(f"experiment.t_total must span a whole number "
+                         f"(>= 1) of {system.dt} s steps, got {t_total!r}")
     x0 = np.asarray(exp_sec["x0"], dtype=float)
     if x0.shape != (system.state_dim,) or not np.isfinite(x0).all():
         raise ValueError("experiment.x0 must be finite with one entry per "
@@ -169,6 +179,8 @@ def code_fingerprint() -> dict:
     it.  It is not compared on reuse: an edit that leaves the numbers alone
     changes the hash, so reuse is decided by replaying the run instead.
     """
+    import scipy
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())

@@ -6,7 +6,9 @@ time falls within the first 75% of the record, so truncated logs cannot fake
 convergence.  Non-convergence is a value (None), not an error, and summary
 statistics exclude non-converged trials while reporting their count.
 
-The Student-t CDF used by the Welch test is ``scipy.special.stdtr``.
+The Student-t CDF used by the Welch test is ``scipy.special.stdtr``, imported
+inside ``student_t_cdf`` so that importing the package does not load
+``scipy.special`` (see ``sampling``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import stdtr
 
 from .cost import wrap_angle
 
@@ -107,6 +108,8 @@ def settling_time(record: TrialRecord,
 
 def student_t_cdf(t: float, dof: float) -> float:
     """P(T <= t) for Student's t with (possibly fractional) dof."""
+    from scipy.special import stdtr
+
     if dof <= 0:
         raise ValueError("dof must be positive")
     return float(stdtr(dof, t))

@@ -6,12 +6,16 @@ mapped to a standard normal with the inverse CDF (scipy ``ndtri``) and scaled
 by the per-dimension standard deviation.  There is no sequential RNG state,
 so generation is bit-identical regardless of evaluation order, chunking, or
 thread count.
+
+``scipy.special`` is imported inside ``draw_noise``, not at module level:
+its import costs about as much as numpy's, and config parsing, system
+construction and the post-hoc tools never draw noise.  ``run_episode``
+loads it before its first timed step.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -37,6 +41,8 @@ def draw_noise(seed: int, K: int, N: int, m: int, sigma) -> np.ndarray:
     sigma may be a scalar or a length-m vector of per-dimension standard
     deviations; it must be strictly positive.
     """
+    from scipy.special import ndtri
+
     if K < 1 or N < 1 or m < 1:
         raise ValueError("K, N, m must all be >= 1")
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (m,))

@@ -44,6 +44,18 @@ class TestParseConfig:
                                    [1.25, 1.0, 12.0, 0.25])
         assert cfg.cost_spec.angle_dims == frozenset({2})
 
+    @pytest.mark.parametrize("dt,t_total,n_steps", [
+        (0.02, 0.2, 10), (0.02, 0.5, 25), (0.02, 2.0, 100),
+        (0.02, 0.06, 3), (0.1, 0.3, 3), (0.02, 6.0, 300),
+        (0.02, 20.0, 1000),
+    ])
+    def test_whole_step_durations_keep_their_step_count(self, dt, t_total,
+                                                        n_steps):
+        raw = tiny_config()
+        raw["system"]["params"] = {"dt": dt}
+        raw["experiment"]["t_total"] = t_total
+        assert harness.parse_config(raw).n_steps == n_steps
+
     def test_default_config_parses(self):
         cfg = harness.parse_config(
             copy.deepcopy(harness.DEFAULT_CARTPOLE_CONFIG))
@@ -419,6 +431,7 @@ class TestCli:
         ("experiment", "t_total", math.nan),
         ("experiment", "t_total", math.inf),
         ("experiment", "t_total", True),
+        ("experiment", "t_total", 0.005), ("experiment", "t_total", 0.03),
         ("experiment", "x0", [0.0, 0.0, math.nan, 0.0]),
         ("experiment", "x0", [0.0, math.inf, 0.0, 0.0]),
     ])

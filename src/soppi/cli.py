@@ -51,6 +51,10 @@ def _load_records(in_dir):
 def _cmd_summarize(args):
     manifest, records = _load_records(args.in_dir)
     config = harness.parse_config(manifest["config"])
+    for algo in config.algos:
+        if algo not in records:
+            raise ValueError(f"no {algo} trial in {args.in_dir}; the battery "
+                             "did not complete")
     indexed = {algo: dict(enumerate(recs)) for algo, recs in records.items()}
     harness.write_summary(config, indexed, args.in_dir)
     with open(Path(args.in_dir) / "summary.csv") as fh:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svgd import _require_positive
+from .svgd import _require_finite, _require_positive
 
 _COMPLEX_STEP = 1e-30
 
@@ -75,6 +75,10 @@ class CartPoleParams:
     def __post_init__(self):
         for name in ("cart_mass", "pole_mass", "pole_half_length", "dt"):
             _require_positive(getattr(self, name), name)
+        for name in ("gravity", "cart_friction", "pole_friction"):
+            _require_finite(getattr(self, name), name)
+        if self.force_limit is not None:
+            _require_positive(self.force_limit, "force_limit")
 
 
 def _check(system, state, control):
@@ -264,6 +268,8 @@ class Pendulum(System):
                  dt=0.02):
         for name, value in (("mass", mass), ("length", length), ("dt", dt)):
             _require_positive(value, name)
+        for name, value in (("gravity", gravity), ("damping", damping)):
+            _require_finite(value, name)
         self.mass = mass
         self.length = length
         self.gravity = gravity

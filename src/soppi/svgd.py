@@ -16,12 +16,12 @@ pair definitions the two routines below are tested against.
 the pair differences of ``_pairwise``, which the median bandwidth shares; its
 sum over j runs in sample-index order, so it is bit-stable regardless of
 thread count.  For scalar controls (m = 1) whose span is a few bandwidths,
-``_direction_low_rank`` interpolates the kernel on r Chebyshev nodes and needs
-K * r exponentials instead of K^2 (the global form of the black-box fast
-multipole method, Fong & Darve, 2009).  It agrees with the blocked routine to
-rounding (within 1e-12 norm-wise), not bitwise.  ``_direction`` picks it from
-K, m and the span alone; everything else stays on the blocked routine bit for
-bit.
+``_direction_low_rank`` interpolates the kernel in both arguments on r
+Chebyshev nodes and needs r^2 exponentials instead of K^2 (the symmetric
+global form of the black-box fast multipole method, Fong & Darve, 2009).  It
+agrees with the blocked routine to rounding (within 1e-12 norm-wise), not
+bitwise.  ``_direction`` picks it from K, m and the span alone; everything
+else stays on the blocked routine bit for bit.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ import numpy as np
 
 _BLOCK = 64  # rows per kernel-gradient product in _direction_blocked
 # The low-rank route is taken only where _node_count is validated, and only
-# when it needs _MIN_SAVING times fewer exponentials than the blocked loop.
-# On one thread it broke even at K / r of about 2-2.5 for K >= 128 and about
-# 4 for K = 80-96; at K = 64, where only a fully coincident set qualifies,
-# its fixed per-call cost made it 0.74x as fast.
+# when K >= _MIN_SAVING * r.  That break-even was measured on the earlier
+# one-sided route (K * r exponentials): on one thread it broke even at K / r
+# of about 2-2.5 for K >= 128 and about 4 for K = 80-96, and at K = 64, where
+# only a fully coincident set qualifies, its fixed per-call cost made it
+# 0.74x as fast.  The two-sided route is cheaper, but the threshold is kept
+# so that no call changes route.
 _MAX_SPAN = 30.0
 _MIN_SAVING = 4
 
@@ -49,6 +51,14 @@ def _require_int(value, name, minimum=None):
             or (minimum is not None and value < minimum)):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def _require_finite(value, name):
+    """Raise ValueError unless value is a finite real number; a bool is not
+    one."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or arr.ndim or not np.isfinite(arr):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _require_positive(value, name, scalar=True):
@@ -168,9 +178,11 @@ def median_bandwidth(particles: np.ndarray) -> float:
 def _node_count(span: float) -> int:
     """Chebyshev nodes that interpolate the kernel over ``span`` bandwidths.
 
-    Measured to keep the absolute error of the interpolated kernel (whose
-    values lie in (0, 1]) at or below about 5e-15 for spans up to
-    _MAX_SPAN; past it the error grows, to about 1e-13 at span 100.
+    Measured to keep the absolute error of the kernel interpolated in both
+    arguments (whose values lie in (0, 1]) at or below about 7e-15 for
+    spans up to _MAX_SPAN (6.6e-15 at span 29.9, against 3.7e-15 when it
+    was interpolated in one); past it the error grows, to about 1e-13 at
+    span 100.
     """
     return math.ceil(16.0 + 3.6 * span)
 
@@ -188,13 +200,27 @@ def _chebyshev_nodes(r: int):
     return x, w
 
 
+@functools.lru_cache(maxsize=None)
+def _node_products(r: int):
+    """-(x_a - x_b)^2 / 2 and w_a w_b over the r ``_chebyshev_nodes`` and
+    their weights, each (r, r); cached per r, read-only."""
+    x, w = _chebyshev_nodes(r)
+    diff = np.subtract.outer(x, x)
+    gram = -0.5 * diff * diff
+    weights = np.multiply.outer(w, w)
+    gram.flags.writeable = False
+    weights.flags.writeable = False
+    return gram, weights
+
+
 def _direction(p, g, sigma_k, alpha, pairs=None):
     """Stein direction for (K, m) particles.
 
     Scalar controls take the low-rank route when their span is at most
-    _MAX_SPAN bandwidths and it evaluates at least _MIN_SAVING times fewer
-    exponentials than the blocked loop (K * r against K^2); every other set
-    takes the blocked loop, on the ``_pairwise`` output if given.
+    _MAX_SPAN bandwidths and its r nodes satisfy _MIN_SAVING * r <= K (it
+    evaluates r^2 exponentials and K * r basis terms, the blocked loop
+    K^2); every other set takes the blocked loop, on the ``_pairwise``
+    output if given.
     """
     K, m = p.shape
     if m == 1 and K >= 2:
@@ -236,14 +262,18 @@ def _direction_low_rank(u, g, sigma_k, alpha, r, lo, hi):
 
     u = p / sigma_k and g are (K,) vectors, lo and hi are u's extremes.  In
     the coordinate t = u - mid, centred on [mid - half, mid + half] (half
-    widened to >= 0.5), the kernel is interpolated in its source argument
-    on r Chebyshev points of the first kind c_a = half * x_a:
+    widened to >= 0.5), the kernel is interpolated in both arguments on the
+    same r Chebyshev points of the first kind c_a = half * x_a:
 
-        k_ij = exp(-(t_i - t_j)^2 / 2) ~= sum_a E_ia L_a(t_j),
-        E_ia = exp(-(t_i - c_a)^2 / 2),
+        k_ij = exp(-(t_i - t_j)^2 / 2) ~= sum_ab L_a(t_i) C_ab L_b(t_j),
+        C_ab = exp(-(c_a - c_b)^2 / 2) = exp(half^2 * G_ab),
 
-    with L_a the barycentric Lagrange basis.  Every sum over j is then
-    E @ (L^T @ f), and the repulsion comes from
+    with G from ``_node_products`` and L the barycentric Lagrange basis,
+    L_a(t_i) = w_a R_ai / n_i with R_ai = 1 / (x_a - t_i / half) and
+    n_i = sum_a w_a R_ai.  Every sum over j, L^T (C (L f)), is then
+    R^T (W C W) R (f / n) / n with W = diag(w): r^2 exponentials and
+    K * r divisions, where interpolating one argument took K * r
+    exponentials.  The repulsion comes from
     sum_j k_ij (p_j - p_i) = sigma_k * ((K t)_i - t_i (K 1)_i); centring
     keeps |t| <= half, which bounds the cancellation in that difference.
     """
@@ -252,27 +282,30 @@ def _direction_low_rank(u, g, sigma_k, alpha, r, lo, hi):
     half = max(0.5 * (hi - lo), 0.5)
     t = u - mid
     x, w = _chebyshev_nodes(r)
-    d = np.subtract.outer(t / half, x)              # (K, r)
+    inv = np.subtract.outer(x, t / half)            # (r, K)
     with np.errstate(divide="ignore"):
-        lag = w / d
-    norm = lag.sum(axis=1)
-    # A particle exactly on a node gives an infinite row: it is that node's
-    # value, so its basis row is one-hot.
+        np.reciprocal(inv, out=inv)
+    norm = w @ inv
+    # A particle exactly on a node gives an infinite column: it is that
+    # node's value, so its basis column is one-hot.
     on_node = ~np.isfinite(norm)
     if on_node.any():
-        lag[on_node] = d[on_node] == 0.0
-        norm[on_node] = 1.0
-    f = np.empty((K, 3))
-    np.divide(-alpha * g, norm, out=f[:, 0])
-    np.divide(t, norm, out=f[:, 1])
-    np.divide(1.0, norm, out=f[:, 2])
-    moments = lag.T @ f                             # (r, 3)
-    d *= d
-    d *= -0.5 * half * half                         # -(t_i - c_a)^2 / 2
-    np.exp(d, out=d)
-    acc = d @ moments          # kernel sums of -alpha g, t and 1, (K, 3)
-    out = acc[:, 0] - (acc[:, 1] - t * acc[:, 2]) / sigma_k
-    return (out / K)[:, None]
+        inv[:, on_node] = np.isinf(inv[:, on_node])
+        norm[on_node] = w @ inv[:, on_node]
+    f = np.empty((3, K))
+    np.multiply(g, -alpha, out=f[0])
+    f[1] = t
+    f[2] = 1.0
+    f /= norm
+    gram, weights = _node_products(r)
+    node_k = np.multiply(gram, half * half)
+    np.exp(node_k, out=node_k)
+    node_k *= weights                               # W C W, symmetric
+    # Kernel sums of -alpha g, t and 1 times norm, (3, K).
+    acc = (f @ inv.T) @ node_k @ inv
+    out = acc[0] - (acc[1] - t * acc[2]) / sigma_k
+    out /= norm * K
+    return out[:, None]
 
 
 def stein_direction(pset: ParticleSet, cfg: SvgdConfig) -> np.ndarray:

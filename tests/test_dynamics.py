@@ -28,6 +28,10 @@ def florian_cartpole_oracle(params, state, force):
     ("cartpole", "cart_mass", True), ("cartpole", "pole_half_length", np.inf),
     ("pendulum", "length", np.inf), ("pendulum", "dt", -0.02),
     ("pendulum", "mass", np.nan), ("double_integrator", "dt", np.nan),
+    ("cartpole", "gravity", np.nan), ("pendulum", "gravity", np.inf),
+    ("pendulum", "damping", np.nan), ("cartpole", "cart_friction", np.inf),
+    ("cartpole", "pole_friction", -np.inf), ("cartpole", "force_limit", 0.0),
+    ("cartpole", "force_limit", -5.0), ("cartpole", "force_limit", np.inf),
 ])
 def test_bad_parameter_rejected(system_id, name, value):
     with pytest.raises(ValueError, match=name):

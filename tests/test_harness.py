@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from soppi import harness
+from soppi import controller, harness
 from soppi.cli import main as cli_main
 from soppi.metrics import TrialRecord
 
@@ -461,6 +461,28 @@ class TestCli:
     def test_missing_results_dir(self, tmp_path, capsys):
         rc = cli_main(["summarize", "--in", str(tmp_path / "nope")])
         assert rc == 1
+
+    def test_summarize_partial_battery_names_missing_algo(
+            self, tmp_path, capsys, monkeypatch):
+        # SOPPI trial 0 raises: the battery stops with only MPPI records.
+        def fail(*args, **kwargs):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setitem(controller._STEPPERS, "soppi", fail)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        with pytest.raises(RuntimeError):
+            cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        with open(out / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert not manifest["complete"]
+        assert set(manifest["record_files"].values()) == {"mppi"}
+        capsys.readouterr()
+        rc = cli_main(["summarize", "--in", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "soppi" in err
 
 
 def test_plot_data_columns(tmp_path):

@@ -251,6 +251,25 @@ class TestLowRankScalarKernel:
         else:
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("span", [0.3, 6.0, 29.9])
+    def test_interpolated_kernel_within_documented_error(self, span):
+        # With one-hot weights the attraction is one column of the route's
+        # interpolated kernel.  A huge bandwidth shrinks the repulsion, and
+        # the difference against zero weights removes it.
+        K = 200
+        rng = np.random.default_rng(int(10 * span))
+        u = np.concatenate([[0.0, span], rng.uniform(0.0, span, K - 2)])
+        r = svgd._node_count(span)
+
+        def attraction(g):
+            out = svgd._direction_low_rank(u, g, 1e8, 1.0, r, 0.0, span)
+            return out[:, 0] * K
+
+        base = attraction(np.zeros(K))
+        got = np.column_stack([attraction(-e) - base for e in np.eye(K)])
+        want = np.exp(-0.5 * np.subtract.outer(u, u) ** 2)
+        assert np.abs(got - want).max() <= 1e-14
+
     def test_particles_exactly_on_chebyshev_nodes(self, low_rank_calls):
         # With bandwidth 1 and the particles spanning [-1, 1], the node
         # interval is [-1, 1] and particle i sits on node x_i exactly.

@@ -45,7 +45,7 @@ class ControllerConfig:
     def __post_init__(self):
         _require_int(self.K, "K", 1)
         _require_int(self.horizon, "horizon", 1)
-        _require_int(self.seed, "seed")
+        _require_int(self.seed, "seed", *sampling.SEED_RANGE)
         _require_positive(self.lambda_, "lambda")
         _require_positive(self.sigma, "sigma", scalar=False)
 
@@ -138,25 +138,29 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
     x = np.broadcast_to(np.asarray(x0, dtype=float),
                         (K, system.state_dim)).copy()
     costs = np.zeros(K)
+    x_next = np.empty_like(x)          # each sweep's lookahead, reused
     with np.errstate(all="ignore"):
         for t in range(N):
             v = refined[:, t, :].copy()        # contiguous for the sweeps
+            u = [v[:, j] for j in range(m)]    # views: they follow v
             z = system._prepare([x[:, i] for i in range(system.state_dim)])
             b_free = system._control_jacobian(z)           # (K, n, m)
             for _ in range(sweeps):
-                u = [v[:, j] for j in range(m)]
-                x_next = np.stack(system._advance(z, u), axis=-1)
+                np.stack(system._advance(z, u), axis=-1, out=x_next)
                 d_state, d_control = cost_mod.running_cost_gradients(
                     spec, x_next, v, t)
                 b = system._saturate(b_free, z, u)
                 grads = np.einsum("knm,kn->km", b, d_state) + d_control
                 ok = np.isfinite(grads).all(axis=1)
-                phi = stein_direction(ParticleSet(v[ok], grads[ok]), svgd_cfg)
-                v[ok] += svgd_cfg.step_size * phi
+                # A full slice keeps the Stein set a view of v, with the
+                # mask's arithmetic and no copy.
+                rows = ok if not ok.all() else slice(None)
+                phi = stein_direction(ParticleSet(v[rows], grads[rows]),
+                                      svgd_cfg)
+                v[rows] += svgd_cfg.step_size * phi
             refined[:, t, :] = v
-            costs += cost_mod.running_cost(spec, x, refined[:, t, :], t)
-            x = np.stack(system._advance(z, [v[:, j] for j in range(m)]),
-                         axis=-1)
+            costs += cost_mod.running_cost(spec, x, v, t)
+            x = np.stack(system._advance(z, u), axis=-1)
         costs += cost_mod.terminal_cost(spec, x)
     return refined, _mark_diverged(costs)
 

@@ -76,7 +76,9 @@ class CostSpec:
 
 
 def _quad(e, W):
-    return np.einsum("...i,ij,...j->...", e, W, e)
+    # e' W e per point; a matmul and a sum run about twice as fast as the
+    # three-operand einsum and give the same bits for diagonal weights.
+    return ((e @ W) * e).sum(axis=-1)
 
 
 def running_cost(spec: CostSpec, state, control, t: int = 0):

@@ -13,8 +13,9 @@ same operation order as the undivided formula.  ``step_unchecked`` composes
 the two, so a single state evaluated once is bitwise equal to the prepared
 terms advanced with any control.  The SOPPI refinement, which evaluates one
 state under several controls, prepares once and advances per control.  The
-pendulum and the double integrator have no costly state-only part and keep
-the base-class default, which passes the state components through.
+pendulum prepares its torque-free acceleration; the double integrator has no
+state-only part and keeps the base-class default, which passes the state
+components through.
 
 Hand-derived closed-form control Jacobians, built from the same prepared
 terms, are provided for the hot loop.  They are tested against
@@ -276,11 +277,14 @@ class Pendulum(System):
         self.damping = damping
         self.dt = dt
 
+    def _prepare(self, s):
+        th, om = s
+        return (th, om,
+                -(self.gravity / self.length) * np.sin(th) - self.damping * om)
+
     def _advance(self, z, u):
-        th, om = z
-        acc = (-(self.gravity / self.length) * np.sin(th)
-               - self.damping * om
-               + u[0] / (self.mass * self.length ** 2))
+        th, om, free = z
+        acc = free + u[0] / (self.mass * self.length ** 2)
         om2 = om + acc * self.dt
         return (th + om2 * self.dt, om2)
 

@@ -37,6 +37,7 @@ from .cost import CostSpec
 from .dynamics import System, make_system
 from .metrics import (SettlingCriterion, SummaryRow, TrialRecord, mse,
                       settling_time, summarize, welch_t_test_one_tailed)
+from .sampling import SEED_RANGE
 from .svgd import SvgdConfig, _require_int, _require_positive
 
 log = logging.getLogger(__name__)
@@ -145,7 +146,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     n_trials = exp_sec.get("n_trials", 5)
     base_seed = exp_sec.get("base_seed", 0)
     _require_int(n_trials, "experiment.n_trials", 1)
-    _require_int(base_seed, "experiment.base_seed")
+    _require_int(base_seed, "experiment.base_seed", *SEED_RANGE)
+    # Trial i runs on base_seed + i, so the last trial's seed must fit too.
+    _require_int(int(base_seed) + n_trials - 1,
+                 "experiment.base_seed + n_trials - 1", *SEED_RANGE)
     t_total = exp_sec.get("t_total", 1.0)
     _require_positive(t_total, "experiment.t_total")
     steps = t_total / system.dt

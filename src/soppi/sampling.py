@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+# Seeds are hashed as int64; a seed outside this range cannot be drawn.
+SEED_RANGE = (-2**63, 2**63 - 1)
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -44,13 +44,15 @@ _MAX_SPAN = 30.0
 _MIN_SAVING = 4
 
 
-def _require_int(value, name, minimum=None):
+def _require_int(value, name, minimum=None, maximum=None):
     """Raise ValueError unless value is an integer (a bool is not one) and,
-    if minimum is given, at least minimum."""
+    if minimum (maximum) is given, at least minimum (at most maximum)."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or (minimum is not None and value < minimum)):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+            or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
+        bounds = (f" in [{minimum}, {maximum}]" if maximum is not None
+                  else f" >= {minimum}" if minimum is not None else "")
+        raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def _require_finite(value, name):

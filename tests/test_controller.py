@@ -375,6 +375,54 @@ class TestStagedRefinement:
         assert saturated.any() and not saturated.all()
 
 
+class TestCopyFreeSweep:
+    """An all-finite sweep hands the Stein kernel views of the controls."""
+
+    @staticmethod
+    def _spy_sweeps(monkeypatch, sigma):
+        # TestStagedRefinement's cart-pole inputs; at sigma=5000 two rows
+        # diverge, and the sweeps mask them out.
+        system, x0 = _STAGED_CASES["cartpole"]
+        spec = _staged_spec(system)
+        K, N, sweeps = 128, 12, 5
+        cfg = ControllerConfig(
+            K=K, horizon=N, lambda_=1.0, sigma=sigma, seed=3,
+            svgd=SvgdConfig(iterations=sweeps, step_size=0.2,
+                            bandwidth="median", alpha=10.0))
+        controls = perturb(np.zeros((N, 1)),
+                           draw_noise(cfg.seed, K, N, 1, sigma))
+        if sigma > 100:
+            controls[5, 0, 0] = np.inf
+            controls[9, 2, 0] = 1e300
+        seen = []
+
+        def spy(pset, svgd_cfg):
+            seen.append((pset.particles.shape[0],
+                         pset.particles.flags.owndata,
+                         pset.grads.flags.owndata))
+            return stein_direction(pset, svgd_cfg)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(controller_mod, "stein_direction", spy)
+            _refine_controls(system, spec, cfg, x0, controls, sweeps)
+        _, masked = unstaged_refine_oracle(system, spec, cfg, x0, controls)
+        assert len(seen) == N * sweeps
+        return K, seen, masked
+
+    def test_all_finite_sweeps_pass_views(self, monkeypatch):
+        K, seen, masked = self._spy_sweeps(monkeypatch, 5.0)
+        assert masked == 0
+        assert all(rows == K and not own_p and not own_g
+                   for rows, own_p, own_g in seen)
+
+    def test_masked_sweeps_pass_fewer_rows(self, monkeypatch):
+        K, seen, masked = self._spy_sweeps(monkeypatch, 5000.0)
+        short = [rows for rows, _, _ in seen if rows < K]
+        assert short and sum(K - rows for rows in short) == masked
+        # Only a masked sweep copies its Stein set.
+        assert all(own_p == (rows < K) for rows, own_p, _ in seen)
+
+
 class TestAllSamplesDiverged:
     """A step whose every sample diverges keeps the shifted nominal."""
 

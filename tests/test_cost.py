@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from soppi import CostSpec, cost_to_go, running_cost, \
     running_cost_gradients, terminal_cost, wrap_angle
+from soppi.cost import _quad
 
 
 def diag_quadratic_oracle(weights, err):
@@ -175,3 +176,62 @@ def test_wrap_angle_interval():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
     assert wrap_angle(0.3) == pytest.approx(0.3)
+
+
+def einsum_quad_reference(e, W):
+    """e' W e as the three-operand einsum that ``_quad`` replaced."""
+    return np.einsum("...i,ij,...j->...", e, W, e)
+
+
+# The diagonal weights of the committed configs (the cart-pole battery and
+# the pendulum bench workload) and a random diagonal with a zero entry.
+_DIAGONAL_WEIGHTS = [
+    [1.25, 1.0, 12.0, 0.25], [12.5, 10.0, 120.0, 2.5], [1e-3],
+    [10.0, 0.1], [100.0, 1.0],
+    list(np.random.default_rng(7).uniform(0.0, 50.0, size=5)) + [0.0],
+]
+
+
+class TestQuadraticForm:
+    """``_quad`` against the einsum form, on batches and single points."""
+
+    @pytest.mark.parametrize("batch", [(), (1,), (500,), (3, 7)])
+    @pytest.mark.parametrize("diag", _DIAGONAL_WEIGHTS)
+    def test_diagonal_weights_bitwise(self, diag, batch):
+        W = np.diag(diag)
+        rng = np.random.default_rng(len(batch) + len(diag))
+        e = rng.normal(size=batch + (len(diag),)) * 10.0 ** rng.integers(
+            -4, 4, size=batch + (len(diag),))
+        got = _quad(e, W)
+        ref = einsum_quad_reference(e, W)
+        assert np.shape(got) == np.shape(ref) == batch
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (1,), (500,), (3, 7)])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_full_symmetric_weights_to_rounding(self, n, batch):
+        # Relative to e' |W| e over absolute values, which bounds the
+        # rounding of either summation order.
+        rng = np.random.default_rng(10 * n + len(batch))
+        a = rng.normal(size=(n, n))
+        W = a @ a.T + 0.1 * np.eye(n)
+        e = rng.normal(scale=3.0, size=batch + (n,))
+        got = _quad(e, W)
+        ref = einsum_quad_reference(e, W)
+        scale = einsum_quad_reference(np.abs(e), np.abs(W))
+        assert np.shape(got) == batch
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_error_gives_non_finite_cost(self, bad):
+        spec = CostSpec(Q=np.diag([1.25, 1.0, 12.0, 0.25]), R=np.eye(1),
+                        Q_T=np.eye(4), x_target=np.zeros(4))
+        states = np.random.default_rng(0).normal(size=(6, 4))
+        states[2, 1] = bad
+        states[4, 3] = bad
+        with np.errstate(all="ignore"):
+            costs = running_cost(spec, states, np.zeros((6, 1)))
+            terminal = terminal_cost(spec, states)
+        finite = np.isfinite(states).all(axis=1)
+        np.testing.assert_array_equal(np.isfinite(costs), finite)
+        np.testing.assert_array_equal(np.isfinite(terminal), finite)

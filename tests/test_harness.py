@@ -99,6 +99,32 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="n_trials"):
             harness.parse_config(raw)
 
+    @pytest.mark.parametrize("base_seed,n_trials", [
+        (2**63, 1), (2**63 - 1, 2), (2**63 - 3, 5), (-2**63 - 1, 1),
+        (np.uint64(2**63), 1)])
+    def test_trial_seed_outside_int64_rejected(self, base_seed, n_trials):
+        # Trial i runs on base_seed + i, which is hashed as an int64.
+        raw = tiny_config()
+        raw["experiment"].update(base_seed=base_seed, n_trials=n_trials)
+        with pytest.raises(ValueError, match="base_seed"):
+            harness.parse_config(raw)
+
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+    def test_controller_seed_outside_int64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            controller.ControllerConfig(seed=seed)
+
+    @pytest.mark.parametrize("base_seed", [2**63 - 2, -2**63])
+    def test_seeds_at_the_int64_edges_run(self, tmp_path, base_seed):
+        raw = tiny_config()
+        raw["controller"]["seed"] = base_seed
+        raw["experiment"].update(base_seed=base_seed, n_trials=2,
+                                 algos=["mppi"], t_total=0.04)
+        cfg = harness.parse_config(raw)
+        manifest = harness.run_experiment(cfg, tmp_path / "res")
+        assert manifest.complete
+        assert manifest.trial_seeds == [base_seed, base_seed + 1]
+
 
 class TestRecordCsv:
     def test_roundtrip_is_bit_exact(self, tmp_path):
@@ -414,6 +440,8 @@ class TestCli:
         ("controller", "horizon", 2.5), ("controller", "seed", 1.5),
         ("svgd", "iterations", 2.5), ("svgd", "bandwidth", True),
         ("experiment", "n_trials", 2.7), ("experiment", "base_seed", "0"),
+        ("experiment", "base_seed", 2**63), ("controller", "seed", 2**63),
+        ("controller", "seed", -2**63 - 1),
         ("experiment", "algos", ["cem"]),
         ("experiment", "algos", ["soppi", "soppi"]),
         ("controller", "sigma", 0), ("controller", "sigma", -1.0),
@@ -445,6 +473,17 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_beyond_int64_is_an_error_exit(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                       "--seed", "9223372036854775808"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "base_seed" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

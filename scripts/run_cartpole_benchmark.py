@@ -8,14 +8,13 @@ output directory, so run this once up front to keep the test suite fast:
 
     python3 scripts/run_cartpole_benchmark.py --out results/cartpole_benchmark
 
-It took 11.9 minutes of wall time on a shared 2-vCPU x86-64 machine, 10.8 of
-them in the five SOPPI trials (an earlier regeneration took 10.7).  Trials
-run one at a time: --workers (an integer >= 1) is accepted but does not
-change that, because on 2 vCPUs two threads took 1.3-2.0x the serial battery
-time and each SOPPI step 2.4-3.2x its serial time as the trials contended
-for the GIL.  Pass --trials/--seed to shrink or
-reseed the battery (the acceptance tests only reuse runs made with the
-default settings).
+It took 6.5 minutes of wall time on a shared 2-vCPU x86-64 machine, 5.6 of
+them in the five SOPPI trials.  Trials run one at a time: --workers (an
+integer >= 1) is accepted but does not change that, because on 2 vCPUs two
+threads took 1.3-2.0x the serial battery time and each SOPPI step 2.4-3.2x
+its serial time as the trials contended for the GIL.  Pass --trials/--seed
+to shrink or reseed the battery (the acceptance tests only reuse runs made
+with the default settings).
 """
 
 import argparse

@@ -30,6 +30,8 @@ from .svgd import (ParticleSet, SvgdConfig, _require_int, _require_positive,
 
 log = logging.getLogger(__name__)
 
+_TWO_PI = 2.0 * np.pi
+
 
 @dataclass
 class ControllerConfig:
@@ -113,20 +115,68 @@ def update_nominal(base: np.ndarray, noises: np.ndarray,
     return base + np.einsum("k,ktm->tm", weights, noises)
 
 
+def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
+    """The gradient in the controls of the running cost one step ahead, as a
+    function of the (K, m) controls, from the prepared terms ``z`` of the
+    K sample states.
+
+    Over one Euler step every system is control-affine: the next state is
+    ``a + B u`` with ``a = _advance(z, 0)`` and ``B = _control_jacobian(z)``,
+    so the quadratic cost's gradient is ``g0 + h u`` with
+    ``g0 = B' 2Q (a - x_target) - 2R u_ref[t]`` and ``h = B' 2Q B + 2R``,
+    fixed for the horizon step.  The angle wrap stays per call: on each
+    angle dimension i the wrapped error differs from
+    ``y_i = (a - x_target)_i + B_i u`` by a multiple of 2 pi, which adds
+    ``(2QB)_i (wrap(y_i) - y_i)``.  The swing-up starts on the wrap at
+    theta = pi, so it cannot be fixed per horizon step.  A control clamp
+    (``System._clamp``) clips u inside ``B u`` and, where it binds, leaves
+    only the control term ``2R (u - u_ref[t])``.
+
+    Equal to ``running_cost_gradients`` at the stepped state, chained through
+    ``control_jacobian``, to rounding (``TestLookaheadGradient``).
+    """
+    m = system.control_dim
+    b = system._control_jacobian(z)                                # (K, n, m)
+    e0 = np.stack(system._advance(z, [0.0] * m), axis=-1) - spec.x_target
+    # (2QB)' per sample, (K, m, n); tensordot makes it one matrix product.
+    qb = np.tensordot(b, 2.0 * spec.Q, axes=(1, 1))
+    r2 = 2.0 * spec.R
+    r0 = spec.control_error(np.zeros(m), t) @ r2       # -2R u_ref[t], or 0
+    g0 = np.einsum("kn,kmn->km", e0, qb) + r0
+    h = np.einsum("kmn,knj->kmj", qb, b) + r2                      # (K, m, m)
+    # wrap(y) - y = 2 pi floor((pi - y) / 2 pi); floor is cheaper than mod.
+    wraps = [((np.pi - e0[:, i]) / _TWO_PI, b[:, i] / -_TWO_PI,
+              qb[:, :, i] * _TWO_PI) for i in spec._angle_idx]
+
+    def gradient(v):
+        c, passes = system._clamp([v[:, j] for j in range(m)])
+        g = sum((h[:, :, j] * c[j][:, None] for j in range(m)), g0)
+        for turns, slope, scale in wraps:
+            # floor((pi - y_i) / 2 pi): the whole turns the wrap adds to y_i
+            n = np.floor(sum((slope[:, j] * c[j] for j in range(m)), turns))
+            g += scale * n[:, None]
+        if passes is not None:
+            # 0 * inf stays NaN, so a diverged clamped row is still masked.
+            g = g * passes + (v @ r2 + r0) * ~passes
+        return g
+
+    return gradient
+
+
 def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
                      x0, controls: np.ndarray, sweeps: int):
     """``sweeps`` SVGD sweeps over each horizon step's particles in turn.
 
     The sample states stay fixed during a horizon step's sweeps, so their
-    state-only step terms (``System._prepare``) and the control Jacobian are
-    computed once per horizon step.  Every sweep advances those terms with
-    the current controls for the one-step lookahead, applies the control
-    clamp to the Jacobian, and pushes each particle along the Stein
-    direction of the single-step running cost; after the sweeps the same
-    terms advance the sample states one step with the refined controls.
-    The result is bitwise equal to stepping the states afresh in every
-    sweep.  A sample whose gradient is non-finite (a diverged rollout) is
-    left out of that sweep's Stein set and is not moved by it.
+    state-only step terms (``System._prepare``) and the affine one-step
+    lookahead (``_lookahead_gradient``) are built once per horizon step.
+    Every sweep pushes each particle along the Stein direction of the
+    single-step running cost; after the sweeps the prepared terms advance
+    the sample states one step with the refined controls.  The refined
+    controls equal those of stepping the states afresh in every sweep to
+    rounding (``TestStagedRefinement``).  A sample whose gradient is
+    non-finite (a diverged rollout) is left out of that sweep's Stein set
+    and is not moved by it.
 
     Returns ``(refined, costs)``: the refined controls (K, N, m) and the
     cost-to-go of their rollout, accumulated on the states the refinement
@@ -138,19 +188,13 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
     x = np.broadcast_to(np.asarray(x0, dtype=float),
                         (K, system.state_dim)).copy()
     costs = np.zeros(K)
-    x_next = np.empty_like(x)          # each sweep's lookahead, reused
     with np.errstate(all="ignore"):
         for t in range(N):
             v = refined[:, t, :].copy()        # contiguous for the sweeps
-            u = [v[:, j] for j in range(m)]    # views: they follow v
             z = system._prepare([x[:, i] for i in range(system.state_dim)])
-            b_free = system._control_jacobian(z)           # (K, n, m)
+            gradient = _lookahead_gradient(system, spec, z, t)
             for _ in range(sweeps):
-                np.stack(system._advance(z, u), axis=-1, out=x_next)
-                d_state, d_control = cost_mod.running_cost_gradients(
-                    spec, x_next, v, t)
-                b = system._saturate(b_free, z, u)
-                grads = np.einsum("knm,kn->km", b, d_state) + d_control
+                grads = gradient(v)
                 ok = np.isfinite(grads).all(axis=1)
                 # A full slice keeps the Stein set a view of v, with the
                 # mask's arithmetic and no copy.
@@ -160,7 +204,8 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
                 v[rows] += svgd_cfg.step_size * phi
             refined[:, t, :] = v
             costs += cost_mod.running_cost(spec, x, v, t)
-            x = np.stack(system._advance(z, u), axis=-1)
+            x = np.stack(system._advance(z, [v[:, j] for j in range(m)]),
+                         axis=-1)
         costs += cost_mod.terminal_cost(spec, x)
     return refined, _mark_diverged(costs)
 

@@ -26,7 +26,9 @@ subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding once h is tiny
 part only: the friction sign, whose derivative is zero, and the force clamp,
 which keeps the probe's imaginary part exactly where the closed form lets
 the force through (``|u| <= force_limit``).  On real inputs both give the
-same bits as plain ``np.sign`` and ``np.clip``.
+same bits as plain ``np.sign`` and ``np.clip``.  The clamp is one hook,
+``_clamp``, shared by ``_advance``, ``control_jacobian`` (which zeroes the
+Jacobian of a clamped control) and the SOPPI lookahead.
 
 States and controls are plain numpy float vectors.  Cart-pole state order is
 ``(x [m], x_dot [m/s], theta [rad], theta_dot [rad/s])`` with ``theta = 0``
@@ -119,10 +121,11 @@ class System:
         shape ``(..., n, m)``."""
         raise NotImplementedError
 
-    def _saturate(self, b, z, u):
-        """The control Jacobian ``b`` with the control clamp applied; systems
-        without a clamp return ``b`` itself."""
-        return b
+    def _clamp(self, u):
+        """``(clamped, passes)``: the control components after the control
+        clamp, and a ``(..., m)`` mask of the entries it lets through.
+        Systems without a clamp return ``(u, None)``."""
+        return u, None
 
     def step(self, state, control):
         """One semi-implicit Euler step.  Accepts ``(..., n)`` batches."""
@@ -163,8 +166,12 @@ class System:
         state = np.asarray(state, dtype=float)
         control = np.asarray(control, dtype=float)
         z = self._prepare([state[..., i] for i in range(self.state_dim)])
-        u = [control[..., j] for j in range(self.control_dim)]
-        return self._saturate(self._control_jacobian(z), z, u)
+        _, passes = self._clamp(
+            [control[..., j] for j in range(self.control_dim)])
+        b = self._control_jacobian(z)
+        # A clamped control moves nothing: its column scales to zero, with
+        # the signs the chain rule gives it.
+        return b if passes is None else b * passes[..., None, :]
 
 
 class CartPole(System):
@@ -197,14 +204,7 @@ class CartPole(System):
     def _advance(self, z, u):
         p = self.params
         x, xd, th, thd, ct, spin, slide, pull, drag, denom = z
-        force = u[0]
-        if p.force_limit is not None:
-            # Clamp the real part; a complex-step probe keeps its imaginary
-            # part where the force passes, the predicate of _saturate.
-            lim = p.force_limit
-            real = np.real(force)
-            force = np.where(np.abs(real) <= lim, force,
-                             np.clip(real, -lim, lim))
+        (force,), _ = self._clamp(u)
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
         temp = (force + spin - slide) / mt
@@ -214,15 +214,14 @@ class CartPole(System):
         thd2 = thd + th_acc * p.dt
         return (x + xd2 * p.dt, xd2, th + thd2 * p.dt, thd2)
 
-    def _control_jacobian(self, z, d_temp=None):
-        # Closed form: only the accelerations depend on the force, linearly;
-        # d_temp is d(temp)/d(force), zero where the force saturates.
+    def _control_jacobian(self, z):
+        # Closed form: only the accelerations depend on the force, linearly,
+        # through temp, whose derivative in the force is d_temp = 1 / mt.
         p = self.params
         ct, denom = z[4], z[9]
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
-        if d_temp is None:
-            d_temp = np.full_like(ct, 1.0 / mt)
+        d_temp = np.full_like(ct, 1.0 / mt)
         d_th_acc = -ct * d_temp / denom
         d_x_acc = d_temp - p.pole_mass * half * d_th_acc * ct / mt
         dt = p.dt
@@ -230,13 +229,16 @@ class CartPole(System):
                          d_th_acc * dt * dt, d_th_acc * dt], axis=-1)
         return cols[..., None]
 
-    def _saturate(self, b, z, u):
-        if self.params.force_limit is None:
-            return b
-        saturated = np.abs(u[0]) > self.params.force_limit
-        clamped = self._control_jacobian(z, np.zeros_like(z[4]))
-        return np.where(np.reshape(saturated, np.shape(saturated) + (1, 1)),
-                        clamped, b)
+    def _clamp(self, u):
+        lim = self.params.force_limit
+        if lim is None:
+            return u, None
+        # Clamp the real part; a complex-step probe keeps its imaginary part
+        # where the force passes.  NaN passes, as it fails no bound.
+        real = np.real(u[0])
+        passes = ~(np.abs(real) > lim)
+        return [np.where(passes, u[0], np.clip(real, -lim, lim))], \
+            passes[..., None]
 
 
 class DoubleIntegrator(System):

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .cost import wrap_angle
+from .svgd import _require_positive
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class SettlingCriterion:
     wrap_angle: bool = False
 
     def __post_init__(self):
-        if self.band <= 0:
-            raise ValueError("band must be positive")
+        _require_positive(self.band, "band")
+        _require_positive(self.step_range, "step_range")
         if self.mode not in ("absolute", "fraction_of_range"):
             raise ValueError("mode must be 'absolute' or 'fraction_of_range'")
 

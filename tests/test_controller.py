@@ -10,7 +10,7 @@ from soppi import CartPole, CartPoleParams, ControllerConfig, CostSpec, \
 from soppi import cost as cost_mod
 from soppi.sampling import draw_noise, perturb
 from soppi import controller as controller_mod
-from soppi.controller import _refine_controls
+from soppi.controller import _lookahead_gradient, _refine_controls
 from soppi.harness import DEFAULT_CARTPOLE_CONFIG, parse_config
 from soppi.svgd import ParticleSet, stein_direction
 
@@ -319,13 +319,106 @@ def _staged_spec(system):
                     x_target=np.zeros(n), angle_dims={2} if n == 4 else {0})
 
 
+_LOOKAHEAD_SYSTEMS = {
+    "cartpole": CartPole(),
+    "cartpole_friction": CartPole(CartPoleParams(cart_friction=0.3,
+                                                 pole_friction=0.05)),
+    "cartpole_force_limit": CartPole(CartPoleParams(force_limit=5.0)),
+    "pendulum": Pendulum(damping=0.1),
+    "double_integrator": DoubleIntegrator(0.05),
+}
+
+
+class TestLookaheadGradient:
+    """The affine lookahead's gradient against the chain rule:
+    ``running_cost_gradients`` at ``step_unchecked``, times
+    ``control_jacobian``."""
+
+    # Entrywise, relative to the largest gradient entry: a thousand times
+    # the largest gap seen (1.5e-16).
+    TOL = 1e-13
+
+    @staticmethod
+    def _inputs(system, K=400, seed=5):
+        rng = np.random.default_rng(seed)
+        n = system.state_dim
+        # Non-diagonal symmetric weights, a target off zero and a u_ref.
+        a = rng.normal(size=(n, n))
+        q = a @ a.T + np.eye(n)
+        angle = {CartPole: 2, Pendulum: 0}.get(type(system))
+        spec = CostSpec(Q=q, R=np.array([[0.3]]), Q_T=q,
+                        x_target=rng.normal(scale=0.1, size=n),
+                        u_ref=rng.normal(size=(6, 1)),
+                        angle_dims=set() if angle is None else {angle})
+        x = rng.normal(size=(K, n))
+        if angle is not None:
+            # Near the wrap on both sides of +pi and -pi, and exactly on it.
+            near = np.pi + spec.x_target[angle] + rng.normal(scale=0.05,
+                                                             size=K)
+            x[:, angle] = np.where(np.arange(K) % 2, near, -near)
+            x[:10, angle] = np.pi
+            x[10:20, angle] = -np.pi
+        v = rng.normal(scale=6.0, size=(K, 1))
+        v[:6, 0] = [5.0, -5.0, np.nextafter(5.0, np.inf),
+                    np.nextafter(-5.0, -np.inf), np.nextafter(5.0, 0.0), 0.0]
+        return spec, x, v, angle
+
+    @pytest.mark.parametrize("name", sorted(_LOOKAHEAD_SYSTEMS))
+    def test_matches_chain_rule(self, name):
+        system = _LOOKAHEAD_SYSTEMS[name]
+        spec, x, v, angle = self._inputs(system)
+        t = 3
+        d_state, d_control = cost_mod.running_cost_gradients(
+            spec, system.step_unchecked(x, v), v, t)
+        expected = np.einsum("knm,kn->km", system.control_jacobian(x, v),
+                             d_state) + d_control
+        z = system._prepare([x[:, i] for i in range(system.state_dim)])
+        got = _lookahead_gradient(system, spec, z, t)(v)
+        np.testing.assert_allclose(got, expected, rtol=0.0,
+                                   atol=self.TOL * np.abs(expected).max())
+        if angle is not None:
+            # The inputs exercise both branches of the wrap.
+            err = system.step_unchecked(x, v)[:, angle] - \
+                spec.x_target[angle]
+            wrapped = cost_mod.wrap_angle(err) != err
+            assert wrapped.any() and not wrapped.all()
+
+    def test_force_limit_inputs_mix_clamped_free_and_boundary_rows(self):
+        system = _LOOKAHEAD_SYSTEMS["cartpole_force_limit"]
+        _, _, v, _ = self._inputs(system)
+        _, passes = system._clamp([v[:, 0]])
+        assert passes[:6, 0].tolist() == [True, True, False, False, True,
+                                          True]
+        assert not passes.all() and passes.any()
+
+    def test_clamped_rows_keep_only_the_control_term(self):
+        # Where the force saturates the next state does not depend on it,
+        # so the gradient is 2R (u - u_ref[t]) alone.
+        system = _LOOKAHEAD_SYSTEMS["cartpole_force_limit"]
+        spec, x, v, _ = self._inputs(system)
+        z = system._prepare([x[:, i] for i in range(4)])
+        got = _lookahead_gradient(system, spec, z, 2)(v)
+        clamped = np.abs(v[:, 0]) > 5.0
+        np.testing.assert_allclose(
+            got[clamped], 2.0 * (v[clamped] - spec.u_ref[2]) @ spec.R,
+            rtol=1e-14)
+
+
 class TestStagedRefinement:
-    """The staged sweep is bitwise equal to stepping afresh in every sweep."""
+    """The staged sweep with the affine lookahead matches stepping afresh in
+    every sweep to rounding, with the same rows masked."""
+
+    # Entrywise, relative to max(|x|, 1): about a hundred times the largest
+    # gap seen on this grid (1.1e-15).
+    TOL = 1e-13
 
     @pytest.mark.parametrize("sigma", [5.0, 5000.0])
     @pytest.mark.parametrize("bandwidth", [5.0, "median"])
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
-    def test_matches_unstaged_loop_bitwise(self, name, bandwidth, sigma):
+    def test_matches_unstaged_loop_bitwise(self, name, bandwidth, sigma,
+                                           monkeypatch):
+        # The name is historical: the refined controls match the oracle to
+        # TOL since the lookahead became affine; the costs stay bitwise.
         system, x0 = _STAGED_CASES[name]
         spec = _staged_spec(system)
         K, N = 128, 12
@@ -343,11 +436,53 @@ class TestStagedRefinement:
         expected, masked = unstaged_refine_oracle(system, spec, cfg, x0,
                                                   controls)
         assert (masked > 0) == (sigma > 100)
+        rows = []
+
+        def spy(pset, svgd_cfg):
+            rows.append(pset.particles.shape[0])
+            return stein_direction(pset, svgd_cfg)
+
+        monkeypatch.setattr(controller_mod, "stein_direction", spy)
         got, costs = _refine_controls(system, spec, cfg, x0, controls, 5)
-        assert got.tobytes() == expected.tobytes()
+        assert sum(K - r for r in rows) == masked
+        np.testing.assert_array_equal(np.isfinite(got),
+                                      np.isfinite(expected))
+        np.testing.assert_allclose(got, expected, rtol=self.TOL,
+                                   atol=self.TOL)
         assert costs.tobytes() == \
             evaluate_batch(system, spec, x0, got).tobytes()
         assert np.isinf(costs).any() == (sigma > 100)
+
+    @pytest.mark.parametrize("sweeps", [1, 5])
+    @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
+    def test_lookahead_is_built_once_per_horizon_step(self, name, sweeps,
+                                                      monkeypatch):
+        # Per horizon step: one preparation, one control Jacobian, and two
+        # advances (the control-free lookahead and the refined step),
+        # whatever the sweep count; the sweeps never call the cost gradient.
+        system, x0 = _STAGED_CASES[name]
+        calls = {"_prepare": 0, "_control_jacobian": 0, "_advance": 0}
+        for attr in calls:
+            def counted(*args, _fn=getattr(system, attr), _attr=attr):
+                calls[_attr] += 1
+                return _fn(*args)
+            monkeypatch.setattr(system, attr, counted)
+
+        def no_gradients(*args, **kwargs):
+            raise AssertionError("running_cost_gradients called")
+
+        monkeypatch.setattr(cost_mod, "running_cost_gradients", no_gradients)
+        N = 7
+        cfg = ControllerConfig(
+            K=32, horizon=N, lambda_=1.0, sigma=5.0, seed=4,
+            svgd=SvgdConfig(iterations=sweeps, step_size=0.2,
+                            bandwidth="median", alpha=10.0))
+        controls = perturb(np.zeros((N, 1)), draw_noise(cfg.seed, 32, N, 1,
+                                                        5.0))
+        _refine_controls(system, _staged_spec(system), cfg, x0, controls,
+                         sweeps)
+        assert calls == {"_prepare": N, "_control_jacobian": N,
+                         "_advance": 2 * N}
 
     @pytest.mark.parametrize("sigma", [5.0, 1e5])
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))

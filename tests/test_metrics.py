@@ -114,6 +114,19 @@ class TestSettlingTime:
         with pytest.raises(ValueError):
             SettlingCriterion(0, 0.0, 0.1, mode="percent")
 
+    @pytest.mark.parametrize("field,value", [
+        ("band", math.nan), ("band", math.inf), ("band", -0.1),
+        ("band", True), ("band", "0.1"),
+        ("step_range", -1.0), ("step_range", 0.0), ("step_range", math.nan),
+        ("step_range", math.inf)])
+    @pytest.mark.parametrize("mode", ["absolute", "fraction_of_range"])
+    def test_rejects_malformed_band_and_step_range(self, field, value, mode):
+        # A NaN band used to be accepted and never settle; a negative
+        # step_range gave a negative half-width.
+        kwargs = {"band": 0.1, "step_range": math.pi, field: value}
+        with pytest.raises(ValueError, match=field):
+            SettlingCriterion(0, 0.0, mode=mode, **kwargs)
+
 
 class TestStudentTCdf:
     def test_symmetry_at_zero(self):

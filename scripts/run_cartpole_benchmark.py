@@ -9,12 +9,9 @@ output directory, so run this once up front to keep the test suite fast:
     python3 scripts/run_cartpole_benchmark.py --out results/cartpole_benchmark
 
 It took 6.5 minutes of wall time on a shared 2-vCPU x86-64 machine, 5.6 of
-them in the five SOPPI trials.  Trials run one at a time: --workers (an
-integer >= 1) is accepted but does not change that, because on 2 vCPUs two
-threads took 1.3-2.0x the serial battery time and each SOPPI step 2.4-3.2x
-its serial time as the trials contended for the GIL.  Pass --trials/--seed
-to shrink or reseed the battery (the acceptance tests only reuse runs made
-with the default settings).
+them in the five SOPPI trials; trials run one at a time.  Pass
+--trials/--seed to shrink or reseed the battery (the acceptance tests only
+reuse runs made with the default settings).
 """
 
 import argparse
@@ -33,7 +30,6 @@ def main():
     ap.add_argument("--out", default="results/cartpole_benchmark")
     ap.add_argument("--trials", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     raw = copy.deepcopy(harness.DEFAULT_CARTPOLE_CONFIG)
@@ -44,7 +40,7 @@ def main():
     config = harness.parse_config(raw)
 
     t0 = time.time()
-    manifest = harness.run_experiment(config, args.out, workers=args.workers)
+    manifest = harness.run_experiment(config, args.out)
     print(f"done in {(time.time() - t0) / 60:.1f} min; "
           f"{len(manifest.record_files)} records in {args.out}")
     with open(Path(args.out) / "summary.csv") as fh:

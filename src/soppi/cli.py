@@ -28,7 +28,7 @@ def _cmd_run(args):
         raw["experiment"]["base_seed"] = args.seed
     config = harness.parse_config(raw)
     out = args.out or raw["experiment"].get("out_dir", "results")
-    manifest = harness.run_experiment(config, out, workers=args.workers)
+    manifest = harness.run_experiment(config, out)
     print(f"wrote {len(manifest.record_files)} record files to {out}")
     return 0
 
@@ -83,10 +83,6 @@ def build_parser():
     run.add_argument("--trials", type=int, help="override trial count")
     run.add_argument("--seed", type=int, help="override base seed")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--workers", type=int, default=1,
-                     help="an integer >= 1; trials run one at a time "
-                          "whatever its value (on 2 vCPUs two threads took "
-                          "1.3-2.0x the serial battery time)")
     run.set_defaults(func=_cmd_run)
 
     summ = sub.add_parser("summarize", help="summarize a results directory")

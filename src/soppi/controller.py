@@ -121,8 +121,9 @@ def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
     K sample states.
 
     Over one Euler step every system is control-affine: the next state is
-    ``a + B u`` with ``a = _advance(z, 0)`` and ``B = _control_jacobian(z)``,
-    so the quadratic cost's gradient is ``g0 + h u`` with
+    ``a + B u``, where ``a, B = System._linearize(z)`` are the step at u = 0
+    and its control Jacobian, from one complex-step call.  The quadratic
+    cost's gradient is therefore ``g0 + h u`` with
     ``g0 = B' 2Q (a - x_target) - 2R u_ref[t]`` and ``h = B' 2Q B + 2R``,
     fixed for the horizon step.  The angle wrap stays per call: on each
     angle dimension i the wrapped error differs from
@@ -136,8 +137,8 @@ def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
     ``control_jacobian``, to rounding (``TestLookaheadGradient``).
     """
     m = system.control_dim
-    b = system._control_jacobian(z)                                # (K, n, m)
-    e0 = np.stack(system._advance(z, [0.0] * m), axis=-1) - spec.x_target
+    a, b = system._linearize(z)                            # (K, n), (K, n, m)
+    e0 = a - spec.x_target
     # (2QB)' per sample, (K, m, n); tensordot makes it one matrix product.
     qb = np.tensordot(b, 2.0 * spec.Q, axes=(1, 1))
     r2 = 2.0 * spec.R

@@ -17,18 +17,21 @@ pendulum prepares its torque-free acceleration; the double integrator has no
 state-only part and keeps the base-class default, which passes the state
 components through.
 
-Hand-derived closed-form control Jacobians, built from the same prepared
-terms, are provided for the hot loop.  They are tested against
-:meth:`System.jacobians`, which differentiates the step itself by complex
-step: for a real-analytic f, ``f(x + ih) = f(x) + ih f'(x) + O(h^2)`` with no
-subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding once h is tiny
-(1e-30 here).  Two spots of the cart-pole are not analytic and read the real
-part only: the friction sign, whose derivative is zero, and the force clamp,
-which keeps the probe's imaginary part exactly where the closed form lets
-the force through (``|u| <= force_limit``).  On real inputs both give the
-same bits as plain ``np.sign`` and ``np.clip``.  The clamp is one hook,
-``_clamp``, shared by ``_advance``, ``control_jacobian`` (which zeroes the
-Jacobian of a clamped control) and the SOPPI lookahead.
+Every Jacobian differentiates the step itself by complex step (Martins,
+Sturdza & Alonso, "The complex-step derivative approximation", 2003): for a
+real-analytic f, ``f(x + ih) = f(x) + ih f'(x) + O(h^2)`` with no
+subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding once h is tiny.
+h is 2**-100, so dividing by it is exact.  :meth:`System.jacobians` probes
+the whole step; ``_linearize`` probes ``_advance`` along the controls only
+and returns the next state with its control Jacobian, which is what the SOPPI
+lookahead and :meth:`System.control_jacobian` use.  A system is therefore its
+step and nothing more.  Two spots of the cart-pole are not analytic and read
+the real part only: the friction sign, whose derivative is zero, and the
+force clamp, which keeps the probe's imaginary part only where the force
+passes (``|u| <= force_limit``), so a clamped force has a zero Jacobian
+column.  On real inputs both give the same bits as plain ``np.sign`` and
+``np.clip``.  The clamp is one hook, ``_clamp``, shared by ``_advance`` and
+the SOPPI lookahead.
 
 States and controls are plain numpy float vectors.  Cart-pole state order is
 ``(x [m], x_dot [m/s], theta [rad], theta_dot [rad/s])`` with ``theta = 0``
@@ -44,7 +47,7 @@ import numpy as np
 
 from .svgd import _require_finite, _require_positive
 
-_COMPLEX_STEP = 1e-30
+_COMPLEX_STEP = 2.0 ** -100
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,6 @@ class System:
         """Next-state components from prepared terms and control components."""
         raise NotImplementedError
 
-    def _control_jacobian(self, z):
-        """d(next state)/d(control) at prepared terms for an unclamped control,
-        shape ``(..., n, m)``."""
-        raise NotImplementedError
-
     def _clamp(self, u):
         """``(clamped, passes)``: the control components after the control
         clamp, and a ``(..., m)`` mask of the entries it lets through.
@@ -147,7 +145,7 @@ class System:
         One batched step of the point plus ``ih`` along each of the n + m
         inputs; the imaginary parts over h are the Jacobian's columns.  No
         difference is taken, so nothing cancels, and the O(h^2) error is far
-        below rounding at h = 1e-30.  The non-analytic friction sign and
+        below rounding at h = 2**-100.  The non-analytic friction sign and
         force clamp act on the real part (see the module docstring).
         """
         state, control = _check(self, state, control)
@@ -160,18 +158,28 @@ class System:
         jac = out.imag.T / _COMPLEX_STEP
         return Jacobians(jac[:, :n].copy(), jac[:, n:].copy())
 
+    def _linearize(self, z, u=None):
+        """``(next, B)``: the next state ``(..., n)`` from prepared terms and
+        control components ``u`` (zero if None), and its control Jacobian
+        ``(..., n, m)``, by one complex-step ``_advance`` per control."""
+        m = self.control_dim
+        u = [0.0] * m if u is None else u
+        cols = []
+        for j in range(m):
+            probe = list(u)
+            probe[j] = probe[j] + 1j * _COMPLEX_STEP
+            out = np.stack(self._advance(z, probe), axis=-1)
+            cols.append(out.imag)
+        return out.real, np.stack(cols, axis=-1) / _COMPLEX_STEP
+
     def control_jacobian(self, state, control):
-        """Batched d(next state)/d(control) in closed form, shape
-        ``(..., n, m)``."""
+        """Batched d(next state)/d(control), shape ``(..., n, m)``; a
+        clamped control's column is zero."""
         state = np.asarray(state, dtype=float)
         control = np.asarray(control, dtype=float)
         z = self._prepare([state[..., i] for i in range(self.state_dim)])
-        _, passes = self._clamp(
-            [control[..., j] for j in range(self.control_dim)])
-        b = self._control_jacobian(z)
-        # A clamped control moves nothing: its column scales to zero, with
-        # the signs the chain rule gives it.
-        return b if passes is None else b * passes[..., None, :]
+        return self._linearize(
+            z, [control[..., j] for j in range(self.control_dim)])[1]
 
 
 class CartPole(System):
@@ -214,21 +222,6 @@ class CartPole(System):
         thd2 = thd + th_acc * p.dt
         return (x + xd2 * p.dt, xd2, th + thd2 * p.dt, thd2)
 
-    def _control_jacobian(self, z):
-        # Closed form: only the accelerations depend on the force, linearly,
-        # through temp, whose derivative in the force is d_temp = 1 / mt.
-        p = self.params
-        ct, denom = z[4], z[9]
-        mt = p.cart_mass + p.pole_mass
-        half = p.pole_half_length
-        d_temp = np.full_like(ct, 1.0 / mt)
-        d_th_acc = -ct * d_temp / denom
-        d_x_acc = d_temp - p.pole_mass * half * d_th_acc * ct / mt
-        dt = p.dt
-        cols = np.stack([d_x_acc * dt * dt, d_x_acc * dt,
-                         d_th_acc * dt * dt, d_th_acc * dt], axis=-1)
-        return cols[..., None]
-
     def _clamp(self, u):
         lim = self.params.force_limit
         if lim is None:
@@ -255,10 +248,6 @@ class DoubleIntegrator(System):
         x, v = z
         v2 = v + u[0] * self.dt
         return (x + v2 * self.dt, v2)
-
-    def _control_jacobian(self, z):
-        b = np.array([[self.dt * self.dt], [self.dt]])
-        return np.broadcast_to(b, np.shape(z[0]) + (2, 1)).copy()
 
 
 class Pendulum(System):
@@ -289,11 +278,6 @@ class Pendulum(System):
         acc = free + u[0] / (self.mass * self.length ** 2)
         om2 = om + acc * self.dt
         return (th + om2 * self.dt, om2)
-
-    def _control_jacobian(self, z):
-        g = self.dt / (self.mass * self.length ** 2)
-        b = np.array([[g * self.dt], [g]])
-        return np.broadcast_to(b, np.shape(z[0]) + (2, 1)).copy()
 
 
 def rollout(system: System, x0, controls, length: int | None = None):

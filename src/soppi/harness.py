@@ -281,10 +281,11 @@ def run_experiment(config: ExperimentConfig, out_dir,
                    workers: int = 1) -> RunManifest:
     """Run the full trial battery and persist records, summary, manifest.
 
-    Trials run one at a time in job order; ``workers`` (an integer >= 1)
-    does not change that, see the module notes.  Each trial's CSV and a
-    whole new manifest listing it are written as soon as it returns, so a
-    failed battery keeps finished trials.
+    Trials run one at a time in job order.  Each trial's CSV and a whole
+    new manifest listing it are written as soon as it returns, so a failed
+    battery keeps finished trials.  ``workers`` (an integer >= 1) changes
+    nothing; it is kept, and checked, only because the performance
+    benchmark passes it, and goes when the benchmark stops doing so.
     """
     _require_int(workers, "workers", 1)
     out = Path(out_dir)

@@ -8,7 +8,9 @@ reuses the output of scripts/run_cartpole_benchmark.py when a complete,
 matching results directory exists (default results/cartpole_benchmark,
 overridable via the SOPPI_BENCHMARK_DIR environment variable) and the
 current code replays the first 25 steps of its trial 0 bitwise for every
-algorithm.  Otherwise it recomputes the run from scratch.
+algorithm.  Otherwise it recomputes the run from scratch into a temporary
+directory, so the gates judge the current code and a test run never
+rewrites the committed results; the script regenerates those.
 """
 
 import copy
@@ -146,8 +148,8 @@ def benchmark_config():
 CANARY_STEPS = 25
 
 
-def _existing_benchmark():
-    manifest_path = BENCHMARK_DIR / "manifest.json"
+def _existing_benchmark(run_dir):
+    manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         return None
     with open(manifest_path) as fh:
@@ -156,7 +158,7 @@ def _existing_benchmark():
         return None
     records = {}
     for fname, algo in manifest["record_files"].items():
-        path = BENCHMARK_DIR / fname
+        path = run_dir / fname
         if not path.exists():
             return None
         records.setdefault(algo, []).append(harness.read_record_csv(path))
@@ -181,20 +183,24 @@ def _replays_bitwise():
                 and np.array_equal(replay.controls,
                                    stored.controls[:CANARY_STEPS])):
             print(f"\n{algo} trial 0 differs from {BENCHMARK_DIR} within "
-                  f"{CANARY_STEPS} steps; regenerating the benchmark run")
+                  f"{CANARY_STEPS} steps")
             return False
     return True
 
 
 @pytest.fixture(scope="module")
-def benchmark_records():
-    records = _existing_benchmark()
+def benchmark_records(tmp_path_factory):
+    records = _existing_benchmark(BENCHMARK_DIR)
     if records is not None and not _replays_bitwise():
         records = None
     if records is None:
-        config = harness.parse_config(benchmark_config())
-        harness.run_experiment(config, BENCHMARK_DIR)
-        records = _existing_benchmark()
+        print(f"\nthe run in {BENCHMARK_DIR} is missing or stale; running "
+              "the battery into a temporary directory instead (regenerate "
+              "it with scripts/run_cartpole_benchmark.py)")
+        run_dir = tmp_path_factory.mktemp("cartpole_benchmark")
+        harness.run_experiment(harness.parse_config(benchmark_config()),
+                               run_dir)
+        records = _existing_benchmark(run_dir)
         assert records is not None, "benchmark run did not complete"
     return records
 

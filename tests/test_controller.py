@@ -457,11 +457,12 @@ class TestStagedRefinement:
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
     def test_lookahead_is_built_once_per_horizon_step(self, name, sweeps,
                                                       monkeypatch):
-        # Per horizon step: one preparation, one control Jacobian, and two
-        # advances (the control-free lookahead and the refined step),
-        # whatever the sweep count; the sweeps never call the cost gradient.
+        # Per horizon step: one preparation, one linearization, and two
+        # advances (the linearization's complex-step probe and the refined
+        # step), whatever the sweep count; the sweeps never call the cost
+        # gradient.
         system, x0 = _STAGED_CASES[name]
-        calls = {"_prepare": 0, "_control_jacobian": 0, "_advance": 0}
+        calls = {"_prepare": 0, "_linearize": 0, "_advance": 0}
         for attr in calls:
             def counted(*args, _fn=getattr(system, attr), _attr=attr):
                 calls[_attr] += 1
@@ -481,8 +482,7 @@ class TestStagedRefinement:
                                                         5.0))
         _refine_controls(system, _staged_spec(system), cfg, x0, controls,
                          sweeps)
-        assert calls == {"_prepare": N, "_control_jacobian": N,
-                         "_advance": 2 * N}
+        assert calls == {"_prepare": N, "_linearize": N, "_advance": 2 * N}
 
     @pytest.mark.parametrize("sigma", [5.0, 1e5])
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))

@@ -140,7 +140,10 @@ class TestPreparedStep:
         ids=["cartpole", "pendulum", "double_integrator"])
     @pytest.mark.parametrize("batch", [(), (7,)], ids=["scalar", "batch"])
     def test_advance_of_prepared_matches_step_unchecked(self, system, batch):
-        # One preparation serves every control, as in the SOPPI sweeps.
+        # One preparation serves every control, as in the SOPPI sweeps.  The
+        # complex-step linearization of the same terms gives the same next
+        # state (the cart-pole's complex division rounds differently) and
+        # the Jacobian of the whole step.
         rng = np.random.default_rng(12)
         state = rng.normal(scale=2.0, size=batch + (system.state_dim,))
         z = system._prepare(_components(state))
@@ -151,6 +154,17 @@ class TestPreparedStep:
             expected = system.step_unchecked(state, control)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+            nxt, b = system._linearize(z, _components(control))
+            assert nxt.shape == expected.shape
+            if isinstance(system, CartPole):
+                np.testing.assert_allclose(nxt, expected, rtol=1e-15, atol=0)
+            else:
+                assert nxt.tobytes() == expected.tobytes()
+            assert b.shape == batch + (system.state_dim, system.control_dim)
+            for i in np.ndindex(batch):
+                np.testing.assert_allclose(
+                    b[i], system.jacobians(
+                        state[i], control[i]).d_next_d_control, rtol=1e-12)
 
 
 class TestJacobians:

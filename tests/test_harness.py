@@ -486,17 +486,6 @@ class TestCli:
         assert "error:" in err and "base_seed" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_bad_workers_is_an_error_exit(self, tmp_path, capsys, workers):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config()))
-        out = tmp_path / "res"
-        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out),
-                       "--workers", workers])
-        assert rc == 1
-        assert "workers" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_missing_results_dir(self, tmp_path, capsys):
         rc = cli_main(["summarize", "--in", str(tmp_path / "nope")])
         assert rc == 1

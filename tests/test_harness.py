@@ -486,6 +486,18 @@ class TestCli:
         assert "error:" in err and "base_seed" in err
         assert not out.exists()
 
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        # Trials always run one at a time, so ``run`` has no --workers flag.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                      "--workers", "1"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_results_dir(self, tmp_path, capsys):
         rc = cli_main(["summarize", "--in", str(tmp_path / "nope")])
         assert rc == 1

@@ -17,3 +17,15 @@ def test_swingup_demo_runs_both_algorithms():
     lines = out.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["mppi", "soppi"]
     assert all("mse(theta)=" in line for line in lines)
+
+
+def test_cartpole_benchmark_rejects_workers_before_running(tmp_path):
+    # The battery runs serially; an unknown flag stops it before any trial.
+    out_dir = tmp_path / "res"
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_cartpole_benchmark.py"), "--out",
+         str(out_dir), "--workers", "1"], capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 2
+    assert "--workers" in out.stderr
+    assert not out_dir.exists()

@@ -40,9 +40,12 @@ def _load_records(in_dir):
         raise FileNotFoundError(f"no manifest.json in {in_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    files = isinstance(manifest, dict) and manifest.get("record_files")
+    if not isinstance(files, dict):
+        raise ValueError(f"{manifest_path} has no record_files mapping")
     records: dict[str, list] = {}
     # The manifest lists the files in (algo, trial) order.
-    for fname, algo in manifest["record_files"].items():
+    for fname, algo in files.items():
         records.setdefault(algo, []).append(
             harness.read_record_csv(in_dir / fname))
     return manifest, records

@@ -196,10 +196,9 @@ def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
             gradient = _lookahead_gradient(system, spec, z, t)
             for _ in range(sweeps):
                 grads = gradient(v)
-                ok = np.isfinite(grads).all(axis=1)
-                # A full slice keeps the Stein set a view of v, with the
-                # mask's arithmetic and no copy.
-                rows = ok if not ok.all() else slice(None)
+                # All finite: a full slice keeps the Stein set a view of v.
+                rows = (slice(None) if np.isfinite(grads).all()
+                        else np.isfinite(grads).all(axis=1))
                 phi = stein_direction(ParticleSet(v[rows], grads[rows]),
                                       svgd_cfg)
                 v[rows] += svgd_cfg.step_size * phi

@@ -260,11 +260,16 @@ def read_record_csv(path) -> TrialRecord:
         m = sum(1 for h in header if h.startswith("u_"))
         times, states, controls, wall = [], [], [], []
         for row in reader:
-            times.append(float(row[0]))
-            states.append([float(v) for v in row[1:1 + n]])
-            if row[1 + n] != "":
-                controls.append([float(v) for v in row[1 + n:1 + n + m]])
-                wall.append(float(row[-1]) / 1e3)
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, {len(header)} named")
+                times.append(float(row[0]))
+                states.append([float(v) for v in row[1:1 + n]])
+                if row[1 + n] != "":
+                    controls.append([float(v) for v in row[1 + n:1 + n + m]])
+                    wall.append(float(row[-1]) / 1e3)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return TrialRecord(times=np.asarray(times), states=np.asarray(states),
                        controls=np.asarray(controls),
                        step_wall_times=np.asarray(wall))

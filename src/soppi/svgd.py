@@ -20,8 +20,12 @@ thread count.  For scalar controls (m = 1) whose span is a few bandwidths,
 Chebyshev nodes and needs r^2 exponentials instead of K^2 (the symmetric
 global form of the black-box fast multipole method, Fong & Darve, 2009).  It
 agrees with the blocked routine to rounding (within 1e-12 norm-wise), not
-bitwise.  ``_direction`` picks it from K, m and the span alone; everything
-else stays on the blocked routine bit for bit.
+bitwise.  ``_direction`` picks it from K, m and the span alone.  Both routes
+form their differences as rank-2 products, ``[x, -1] @ [1; s]``: each entry
+is ``x_a - s_i`` rounded once, as both of its products are exact, so it is
+the subtraction's bits on finite input, up to the sign of an exact zero.
+Under numpy 2.4.6 and OpenBLAS 0.3.31 a broadcast subtraction took 3-4x as
+long (32.7 against 9.2 us at (42, 500)).
 """
 
 from __future__ import annotations
@@ -132,11 +136,17 @@ def kernel_grad_wrt_first(v_a, v_b, sigma_k: float):
 def _pairwise(p):
     """Pair differences of (K, m) particles p: the C-ordered
     ``diff[d, i, j] = p_jd - p_id`` and ``d2 = sum_d diff[d]**2``, summed in
-    d order."""
-    pt = np.ascontiguousarray(p.T)                  # (m, K)
-    diff = np.subtract(pt[:, None, :], pt[:, :, None])
+    d order.  ``diff[d]`` is the rank-2 product ``[1, q] @ [q; -1]`` of
+    q = p[:, d] (see above); it negates no input, so NaNs keep their sign."""
+    K, m = p.shape
+    diff = np.empty((m, K, K))
+    ab = np.ones((3, K))                           # rows 1, q, -1
+    ab[2] = -1.0
+    for d in range(m):
+        ab[1] = p[:, d]
+        np.matmul(ab[:2].T, ab[1:], out=diff[d])   # [1, q] @ [q; -1]
     d2 = diff[0] * diff[0]
-    for d in range(1, pt.shape[0]):
+    for d in range(1, m):
         d2 += diff[d] * diff[d]
     return diff, d2
 
@@ -204,15 +214,16 @@ def _chebyshev_nodes(r: int):
 
 @functools.lru_cache(maxsize=None)
 def _node_products(r: int):
-    """-(x_a - x_b)^2 / 2 and w_a w_b over the r ``_chebyshev_nodes`` and
-    their weights, each (r, r); cached per r, read-only."""
+    """-(x_a - x_b)^2 / 2 and w_a w_b, each (r, r), and the (r, 2) [x, -1]
+    over the r ``_chebyshev_nodes`` x, w; cached per r, read-only."""
     x, w = _chebyshev_nodes(r)
     diff = np.subtract.outer(x, x)
     gram = -0.5 * diff * diff
     weights = np.multiply.outer(w, w)
-    gram.flags.writeable = False
-    weights.flags.writeable = False
-    return gram, weights
+    lhs = np.stack([x, -np.ones(r)], axis=1)
+    for a in (gram, weights, lhs):
+        a.flags.writeable = False
+    return gram, weights, lhs
 
 
 def _direction(p, g, sigma_k, alpha, pairs=None):
@@ -271,7 +282,8 @@ def _direction_low_rank(u, g, sigma_k, alpha, r, lo, hi):
         C_ab = exp(-(c_a - c_b)^2 / 2) = exp(half^2 * G_ab),
 
     with G from ``_node_products`` and L the barycentric Lagrange basis,
-    L_a(t_i) = w_a R_ai / n_i with R_ai = 1 / (x_a - t_i / half) and
+    L_a(t_i) = w_a R_ai / n_i with R_ai = 1 / (x_a - t_i / half), whose
+    differences are the rank-2 product [x, -1] @ [1; t / half], and
     n_i = sum_a w_a R_ai.  Every sum over j, L^T (C (L f)), is then
     R^T (W C W) R (f / n) / n with W = diag(w): r^2 exponentials and
     K * r divisions, where interpolating one argument took K * r
@@ -283,8 +295,11 @@ def _direction_low_rank(u, g, sigma_k, alpha, r, lo, hi):
     mid = 0.5 * (lo + hi)
     half = max(0.5 * (hi - lo), 0.5)
     t = u - mid
-    x, w = _chebyshev_nodes(r)
-    inv = np.subtract.outer(x, t / half)            # (r, K)
+    w = _chebyshev_nodes(r)[1]
+    gram, weights, lhs = _node_products(r)
+    rhs = np.ones((2, K))
+    np.divide(t, half, out=rhs[1])
+    inv = lhs @ rhs                                 # (r, K)
     with np.errstate(divide="ignore"):
         np.reciprocal(inv, out=inv)
     norm = w @ inv
@@ -299,7 +314,6 @@ def _direction_low_rank(u, g, sigma_k, alpha, r, lo, hi):
     f[1] = t
     f[2] = 1.0
     f /= norm
-    gram, weights = _node_products(r)
     node_k = np.multiply(gram, half * half)
     np.exp(node_k, out=node_k)
     node_k *= weights                               # W C W, symmetric
@@ -315,10 +329,9 @@ def stein_direction(pset: ParticleSet, cfg: SvgdConfig) -> np.ndarray:
     bandwidth one ``_pairwise`` pass serves the median and the blocked loop."""
     p = np.ascontiguousarray(pset.particles, dtype=float)
     g = np.ascontiguousarray(pset.grads, dtype=float)
-    bad = ~np.isfinite(g).all(axis=1)
-    if bad.any():
-        raise ValueError(
-            f"non-finite gradient for sample index {int(np.nonzero(bad)[0][0])}")
+    if not np.isfinite(g).all():
+        i = int(np.argmin(np.isfinite(g).all(axis=1)))   # first False
+        raise ValueError(f"non-finite gradient for sample index {i}")
     if isinstance(cfg.bandwidth, str):   # "median"
         pairs = _pairwise(p)
         return _direction(p, g, _median_bandwidth(p, pairs[1]), cfg.alpha,

@@ -524,6 +524,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "soppi" in err
 
+    @pytest.mark.parametrize("command", ["summarize", "plotdata"])
+    @pytest.mark.parametrize("manifest", [{"config": tiny_config()},
+                                          {"record_files": ["a.csv"]}, []])
+    def test_manifest_without_record_files_is_an_error_exit(
+            self, tmp_path, capsys, command, manifest):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = [command, "--in", str(tmp_path)]
+        if command == "plotdata":
+            argv += ["--out", str(tmp_path / "plots")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "manifest.json" in err and "record_files" in err
+        assert not (tmp_path / "plots").exists()
+
+    @pytest.mark.parametrize("command", ["summarize", "plotdata"])
+    @pytest.mark.parametrize("fault", ["short", "long", "text"])
+    def test_malformed_record_row_names_file_and_line(
+            self, tmp_path, capsys, command, fault):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        assert cli_main(["run", "--config", str(cfg_path), "--trials", "1",
+                         "--out", str(out)]) == 0
+        path = out / "soppi_trial_0.csv"
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row = {"short": row[:-2], "long": row + ["1"],
+               "text": row[:1] + ["x"] + row[2:]}[fault]
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = [command, "--in", str(out)]
+        if command == "plotdata":
+            argv += ["--out", str(tmp_path / "plots")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{path}:3:" in err
+
 
 def test_plot_data_columns(tmp_path):
     rng = np.random.default_rng(1)

@@ -178,6 +178,17 @@ class TestSteinDirection:
             stein_direction(ParticleSet(np.zeros((3, 1)), g),
                             SvgdConfig(bandwidth=1.0))
 
+    @pytest.mark.parametrize("bandwidth", [1.0, "median"])
+    def test_nonfinite_gradient_names_first_bad_sample(self, bandwidth):
+        # Rows 4 and 12 are non-finite, each in one dimension only: the
+        # error names the first.
+        g = np.ones((16, 2))
+        g[12, 0] = np.nan
+        g[4, 1] = -np.inf
+        with pytest.raises(ValueError, match=r"sample index 4$"):
+            stein_direction(ParticleSet(np.zeros((16, 2)), g),
+                            SvgdConfig(bandwidth=bandwidth))
+
 
 @pytest.fixture
 def low_rank_calls(monkeypatch):
@@ -525,3 +536,139 @@ class TestSharedPairwisePass:
         calls.clear()
         median_bandwidth(p)
         assert calls == [(K, 2)]
+
+
+def pairwise_before_products(p):
+    """``_pairwise`` with broadcast subtraction, kept verbatim as a bitwise
+    oracle for its rank-2 products."""
+    pt = np.ascontiguousarray(p.T)                  # (m, K)
+    diff = np.subtract(pt[:, None, :], pt[:, :, None])
+    d2 = diff[0] * diff[0]
+    for d in range(1, pt.shape[0]):
+        d2 += diff[d] * diff[d]
+    return diff, d2
+
+
+def direction_low_rank_before_products(u, g, sigma_k, alpha, r, lo, hi):
+    """``_direction_low_rank`` with ``np.subtract.outer`` node-particle
+    differences, kept verbatim (bar unpacking the grown node cache) as a
+    bitwise oracle."""
+    K = u.shape[0]
+    mid = 0.5 * (lo + hi)
+    half = max(0.5 * (hi - lo), 0.5)
+    t = u - mid
+    x, w = svgd._chebyshev_nodes(r)
+    inv = np.subtract.outer(x, t / half)            # (r, K)
+    with np.errstate(divide="ignore"):
+        np.reciprocal(inv, out=inv)
+    norm = w @ inv
+    on_node = ~np.isfinite(norm)
+    if on_node.any():
+        inv[:, on_node] = np.isinf(inv[:, on_node])
+        norm[on_node] = w @ inv[:, on_node]
+    f = np.empty((3, K))
+    np.multiply(g, -alpha, out=f[0])
+    f[1] = t
+    f[2] = 1.0
+    f /= norm
+    gram, weights = svgd._node_products(r)[:2]
+    node_k = np.multiply(gram, half * half)
+    np.exp(node_k, out=node_k)
+    node_k *= weights
+    acc = (f @ inv.T) @ node_k @ inv
+    out = acc[0] - (acc[1] - t * acc[2]) / sigma_k
+    out /= norm * K
+    return out[:, None]
+
+
+def _product_cases(K, m, rng):
+    signed_zeros = rng.normal(size=(K, m))
+    signed_zeros[rng.uniform(size=(K, m)) < 0.5] = 0.0
+    signed_zeros[rng.uniform(size=(K, m)) < 0.25] = -0.0
+    return {
+        "normal": rng.normal(size=(K, m)) * 3.0,
+        "duplicates": np.repeat(rng.normal(size=((K + 1) // 2, m)), 2,
+                                axis=0)[rng.permutation(K)],
+        "signed zeros": signed_zeros,
+        # Squares of up to (2e150)^2, summed over three dimensions, stay
+        # finite.
+        "magnitudes": rng.normal(size=(K, m))
+        * 10.0 ** rng.uniform(-150.0, 150.0, size=(K, m)),
+        "extremes": rng.choice([-1e150, -1.0, -0.0, 0.0, 1e-300, 1e150],
+                               size=(K, m)),
+    }
+
+
+class TestRank2Differences:
+    """The rank-2 products that form the Stein kernel's differences against
+    the subtractions they replaced.  Each entry rounds x_a - s_i once, so
+    the bits match; only an exact zero's sign may differ, as the BLAS may
+    start its sums from +0."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("K", [2, 3, 64, 65, 128, 500])
+    def test_pairwise_matches_subtraction(self, K, m):
+        rng = np.random.default_rng(7 * K + m)
+        for name, p in _product_cases(K, m, rng).items():
+            diff, d2 = svgd._pairwise(p)
+            want_diff, want_d2 = pairwise_before_products(p)
+            assert diff.shape == want_diff.shape and diff.flags.c_contiguous
+            assert d2.tobytes() == want_d2.tobytes(), name
+            # Adding +0 turns -0 into +0 and keeps every other value's bits.
+            assert (diff + 0.0).tobytes() == (want_diff + 0.0).tobytes(), name
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("K", [2, 3, 64, 65, 128])
+    def test_zero_signs_do_not_reach_the_direction(self, K, m):
+        # Every row of the differences holds its own +0 diagonal, so a
+        # signed zero elsewhere cannot change a row sum's bits.
+        rng = np.random.default_rng(K + 10 * m)
+        for name, p in _product_cases(K, m, rng).items():
+            g = rng.normal(size=(K, m))
+            for sigma_k in (0.7, svgd.median_bandwidth(p)):
+                got = svgd._direction_blocked(p, g, sigma_k, 2.0)
+                want = direction_blocked_before_shared_pass(p, g, sigma_k,
+                                                            2.0)
+                assert got.tobytes() == want.tobytes(), (name, sigma_k)
+
+    @pytest.mark.parametrize("span", [0.0, 0.3, 1.0, 4.4, 12.5, 29.9, 30.0])
+    def test_low_rank_matches_subtraction(self, span):
+        K = 500
+        rng = np.random.default_rng(int(100 * span))
+        r = svgd._node_count(span)
+        assert 4 * r <= K
+        for lo in (-7.3, 0.0, 2.5):
+            u = lo + span * rng.uniform(size=K)
+            u[:2] = lo, lo + span
+            u = u[rng.permutation(K)]
+            g = rng.normal(size=K) * 10.0
+            args = (u, g, 1.7, 1.5, r, u.min(), u.max())
+            assert svgd._direction_low_rank(*args).tobytes() == \
+                direction_low_rank_before_products(*args).tobytes()
+
+    def test_low_rank_on_node_matches_subtraction(self):
+        # Particles on [-1, 1] give mid 0 and half 1, so t / half is each
+        # particle itself and the first r sit exactly on the nodes.
+        r = svgd._node_count(2.0)
+        x, _ = svgd._chebyshev_nodes(r)
+        rng = np.random.default_rng(9)
+        u = np.concatenate([x, [-1.0, 1.0], rng.uniform(-1, 1, 500 - r - 2)])
+        u = u[rng.permutation(500)]
+        assert (np.subtract.outer(x, u) == 0.0).sum() == r
+        g = rng.normal(size=500)
+        args = (u, g, 1.0, 2.0, r, -1.0, 1.0)
+        got = svgd._direction_low_rank(*args)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == \
+            direction_low_rank_before_products(*args).tobytes()
+
+    def test_node_cache_is_read_only(self):
+        r = svgd._node_count(3.0)
+        gram, weights, lhs = svgd._node_products(r)
+        x, _ = svgd._chebyshev_nodes(r)
+        assert lhs.shape == (r, 2)
+        assert lhs[:, 0].tobytes() == x.tobytes()
+        assert (lhs[:, 1] == -1.0).all()
+        for a in (gram, weights, lhs):
+            assert not a.flags.writeable
+        assert svgd._node_products(r)[2] is lhs

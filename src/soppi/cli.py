@@ -53,6 +53,8 @@ def _load_records(in_dir):
 
 def _cmd_summarize(args):
     manifest, records = _load_records(args.in_dir)
+    if "config" not in manifest:
+        raise ValueError(f"{Path(args.in_dir, 'manifest.json')} has no config")
     config = harness.parse_config(manifest["config"])
     for algo in config.algos:
         if algo not in records:

@@ -1,15 +1,13 @@
 """MPPI and Stein-refined MPPI (SOPPI) stepping, plus episode execution.
 
 Both algorithms take one controller step, ``_step``, on plain ``(K, N, m)``
-arrays: draw the Gaussian perturbations, add them to the nominal, refine
-each horizon step's K control particles with SVGD sweeps (SOPPI only), roll
-out every sample, softmax-weight the costs, and move the nominal by the
-weighted offsets of the samples from it.  The refinement rolls the refined
-samples out as it goes and returns their costs, bitwise equal to
-``evaluate_batch``'s.  With zero sweeps nothing is refined and the offsets
-are the drawn noise itself, so ``soppi_step`` with zero SVGD iterations is
-``mppi_step`` by construction.  If every sample diverged, the step keeps the
-nominal it was given, with all-zero weights.
+arrays: draw the Gaussian perturbations, add them to the nominal, roll out
+every sample, softmax-weight the costs, and move the nominal by the weighted
+offsets of the samples from it.  One loop, ``_rollout``, rolls the samples
+out; for SOPPI it first moves each horizon step's K control particles by
+SVGD sweeps.  MPPI's rollout is that loop with zero sweeps, so ``soppi_step``
+with zero SVGD iterations is ``mppi_step`` by construction.  If every sample
+diverged, the step keeps the nominal it was given, with all-zero weights.
 """
 
 from __future__ import annotations
@@ -75,21 +73,9 @@ def _mark_diverged(costs: np.ndarray) -> np.ndarray:
 
 def evaluate_batch(system: System, spec: CostSpec, x0,
                    controls: np.ndarray) -> np.ndarray:
-    """Cost-to-go of the rollout of each (K, N, m) sample from x0, shape (K,).
-
-    Samples whose rollout leaves the finite range get +inf cost (they are
-    then ignored by the softmax weighting).
-    """
-    K, N, _ = controls.shape
-    x = np.broadcast_to(np.asarray(x0, dtype=float),
-                        (K, system.state_dim)).copy()
-    costs = np.zeros(K)
-    with np.errstate(all="ignore"):
-        for t in range(N):
-            costs += cost_mod.running_cost(spec, x, controls[:, t, :], t)
-            x = system.step_unchecked(x, controls[:, t, :])
-        costs += cost_mod.terminal_cost(spec, x)
-    return _mark_diverged(costs)
+    """Cost-to-go of the rollout of each (K, N, m) sample from x0, shape
+    (K,); +inf (zero weight) where the rollout leaves the finite range."""
+    return _rollout(system, spec, None, x0, controls, 0)[1]
 
 
 def compute_weights(costs: np.ndarray, lambda_: float) -> np.ndarray:
@@ -164,50 +150,55 @@ def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
     return gradient
 
 
-def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
-                     x0, controls: np.ndarray, sweeps: int):
-    """``sweeps`` SVGD sweeps over each horizon step's particles in turn.
+def _rollout(system: System, spec: CostSpec, svgd_cfg: SvgdConfig | None,
+             x0, controls: np.ndarray, sweeps: int):
+    """Roll the (K, N, m) samples out from x0, each horizon step's K control
+    particles first moved by ``sweeps`` SVGD sweeps.
 
     The sample states stay fixed during a horizon step's sweeps, so their
-    state-only step terms (``System._prepare``) and the affine one-step
-    lookahead (``_lookahead_gradient``) are built once per horizon step.
-    Every sweep pushes each particle along the Stein direction of the
-    single-step running cost; after the sweeps the prepared terms advance
-    the sample states one step with the refined controls.  The refined
-    controls equal those of stepping the states afresh in every sweep to
-    rounding (``TestStagedRefinement``).  A sample whose gradient is
-    non-finite (a diverged rollout) is left out of that sweep's Stein set
-    and is not moved by it.
+    state-only terms (``System._prepare``) and the affine lookahead
+    (``_lookahead_gradient``) are built once per horizon step; this equals
+    stepping the states afresh every sweep to rounding
+    (``TestStagedRefinement``).  A sample with a non-finite gradient (a
+    diverged rollout) is left out of that sweep's Stein set.  With zero
+    sweeps nothing is copied or built.
 
-    Returns ``(refined, costs)``: the refined controls (K, N, m) and the
-    cost-to-go of their rollout, accumulated on the states the refinement
-    visits; bitwise equal to ``evaluate_batch`` on the refined controls.
+    Returns ``(controls, costs)``: the refined controls (the given array
+    with zero sweeps) and their cost-to-go, +inf where the rollout diverged.
     """
-    svgd_cfg = cfg.svgd
     K, N, m = controls.shape
-    refined = controls.copy()
+    if sweeps:
+        controls = controls.copy()
     x = np.broadcast_to(np.asarray(x0, dtype=float),
                         (K, system.state_dim)).copy()
     costs = np.zeros(K)
     with np.errstate(all="ignore"):
         for t in range(N):
-            v = refined[:, t, :].copy()        # contiguous for the sweeps
             z = system._prepare([x[:, i] for i in range(system.state_dim)])
-            gradient = _lookahead_gradient(system, spec, z, t)
-            for _ in range(sweeps):
-                grads = gradient(v)
-                # All finite: a full slice keeps the Stein set a view of v.
-                rows = (slice(None) if np.isfinite(grads).all()
-                        else np.isfinite(grads).all(axis=1))
-                phi = stein_direction(ParticleSet(v[rows], grads[rows]),
-                                      svgd_cfg)
-                v[rows] += svgd_cfg.step_size * phi
-            refined[:, t, :] = v
+            v = controls[:, t, :]
+            if sweeps:
+                v = v.copy()                   # contiguous for the sweeps
+                gradient = _lookahead_gradient(system, spec, z, t)
+                for _ in range(sweeps):
+                    grads = gradient(v)
+                    # All finite: a full slice keeps the Stein set a view.
+                    rows = (slice(None) if np.isfinite(grads).all()
+                            else np.isfinite(grads).all(axis=1))
+                    phi = stein_direction(ParticleSet(v[rows], grads[rows]),
+                                          svgd_cfg)
+                    v[rows] += svgd_cfg.step_size * phi
+                controls[:, t, :] = v
             costs += cost_mod.running_cost(spec, x, v, t)
             x = np.stack(system._advance(z, [v[:, j] for j in range(m)]),
                          axis=-1)
         costs += cost_mod.terminal_cost(spec, x)
-    return refined, _mark_diverged(costs)
+    return controls, _mark_diverged(costs)
+
+
+def _refine_controls(system: System, spec: CostSpec, cfg: ControllerConfig,
+                     x0, controls: np.ndarray, sweeps: int):
+    """``(refined, costs)`` of SOPPI's ``sweeps``-sweep rollout."""
+    return _rollout(system, spec, cfg.svgd, x0, controls, sweeps)
 
 
 def _step(system: System, spec: CostSpec, cfg: ControllerConfig, x0,

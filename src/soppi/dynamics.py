@@ -130,11 +130,8 @@ class System:
         return self.step_unchecked(*_check(self, state, control))
 
     def step_unchecked(self, state, control):
-        """As :meth:`step` but without finiteness/shape validation.
-
-        Hot-loop variant for batched rollouts where divergence is detected
-        downstream (non-finite costs are mapped to +inf by the controller).
-        """
+        """As :meth:`step` but unvalidated, so that :meth:`jacobians` can
+        pass it complex probes."""
         s = [state[..., i] for i in range(self.state_dim)]
         u = [control[..., j] for j in range(self.control_dim)]
         return np.stack(self._advance(self._prepare(s), u), axis=-1)

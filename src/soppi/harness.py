@@ -97,11 +97,16 @@ class ExperimentConfig:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Build all experiment objects from a config dict; strict about keys."""
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     _reject_unknown(raw, {"system", "cost", "controller", "svgd",
                           "experiment"}, "config")
     for section in ("system", "cost", "controller", "experiment"):
         if section not in raw:
             raise ValueError(f"config is missing the {section!r} section")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name!r} is not a JSON object")
 
     sys_sec = raw["system"]
     _reject_unknown(sys_sec, {"id", "params"}, "system")
@@ -171,7 +176,7 @@ def load_config(path) -> ExperimentConfig:
     """Load a JSON config file; a run manifest is accepted as well."""
     with open(path) as fh:
         raw = json.load(fh)
-    if "config" in raw:   # manifest: reuse its embedded config snapshot
+    if isinstance(raw, dict) and "config" in raw:   # a manifest's snapshot
         raw = raw["config"]
     return parse_config(raw)
 
@@ -255,7 +260,9 @@ def write_record_csv(path, record: TrialRecord):
 def read_record_csv(path) -> TrialRecord:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty record file")
         n = sum(1 for h in header if h.startswith("state_"))
         m = sum(1 for h in header if h.startswith("u_"))
         times, states, controls, wall = [], [], [], []

@@ -510,6 +510,33 @@ class TestStagedRefinement:
         assert saturated.any() and not saturated.all()
 
 
+class TestSingleRollout:
+    """MPPI's rollout is the SOPPI loop with zero sweeps."""
+
+    @pytest.mark.parametrize("sigma", [5.0, 1e5])
+    @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
+    def test_zero_sweeps_copy_nothing_and_build_no_lookahead(
+            self, name, sigma, monkeypatch):
+        system, x0 = _STAGED_CASES[name]
+        spec = _staged_spec(system)
+        cfg = ControllerConfig(K=64, horizon=30, lambda_=1.0, sigma=sigma,
+                               seed=2)
+        controls = perturb(np.zeros((30, 1)),
+                           draw_noise(cfg.seed, 64, 30, 1, sigma))
+        before = controls.copy()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a zero-sweep rollout refined its controls")
+
+        monkeypatch.setattr(controller_mod, "_lookahead_gradient", fail)
+        monkeypatch.setattr(controller_mod, "stein_direction", fail)
+        got, costs = _refine_controls(system, spec, cfg, x0, controls, 0)
+        assert got is controls
+        assert controls.tobytes() == before.tobytes()
+        assert costs.tobytes() == \
+            evaluate_batch(system, spec, x0, controls).tobytes()
+
+
 class TestCopyFreeSweep:
     """An all-finite sweep hands the Stein kernel views of the controls."""
 

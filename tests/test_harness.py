@@ -475,6 +475,26 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", [None, "system", "cost",
+                                         "controller", "svgd", "experiment"])
+    def test_non_object_config_is_an_error_exit(self, tmp_path, capsys,
+                                                section):
+        if section is None:
+            raw = [1, {}]
+        else:
+            raw = tiny_config()
+            raw[section] = 5
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "res"
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
+        if section is not None:
+            assert repr(section) in err
+        assert not out.exists()
+
     def test_seed_beyond_int64_is_an_error_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config()))
@@ -538,6 +558,41 @@ class TestCli:
         assert err.startswith("error:")
         assert "manifest.json" in err and "record_files" in err
         assert not (tmp_path / "plots").exists()
+
+    @pytest.mark.parametrize("command", ["summarize", "plotdata"])
+    def test_empty_record_file_is_an_error_exit(self, tmp_path, capsys,
+                                                command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        assert cli_main(["run", "--config", str(cfg_path), "--trials", "1",
+                         "--out", str(out)]) == 0
+        path = out / "soppi_trial_0.csv"
+        path.write_text("")
+        capsys.readouterr()
+        argv = [command, "--in", str(out)]
+        if command == "plotdata":
+            argv += ["--out", str(tmp_path / "plots")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not (tmp_path / "plots").exists()
+
+    def test_summarize_manifest_without_config_is_an_error_exit(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        assert cli_main(["run", "--config", str(cfg_path), "--trials", "1",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["config"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli_main(["summarize", "--in", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "manifest.json" in err and "config" in err
 
     @pytest.mark.parametrize("command", ["summarize", "plotdata"])
     @pytest.mark.parametrize("fault", ["short", "long", "text"])

@@ -60,8 +60,7 @@ def _cmd_summarize(args):
         if algo not in records:
             raise ValueError(f"no {algo} trial in {args.in_dir}; the battery "
                              "did not complete")
-    indexed = {algo: dict(enumerate(recs)) for algo, recs in records.items()}
-    harness.write_summary(config, indexed, args.in_dir)
+    harness.write_summary(config, records, args.in_dir)
     with open(Path(args.in_dir) / "summary.csv") as fh:
         sys.stdout.write(fh.read())
     return 0
@@ -106,7 +105,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

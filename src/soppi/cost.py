@@ -34,8 +34,8 @@ def _require_psd(mat, name):
 class CostSpec:
     """Weights and targets of the quadratic cost.
 
-    angle_dims lists state indices whose error is wrapped to (-pi, pi];
-    u_ref, when present, must have one row per horizon step.
+    angle_dims lists state indices in [0, state_dim) whose error is wrapped
+    to (-pi, pi]; u_ref, when present, must have one row per horizon step.
     """
 
     Q: np.ndarray
@@ -56,7 +56,14 @@ class CostSpec:
             self.u_ref = np.asarray(self.u_ref, dtype=float)
             if self.u_ref.ndim != 2 or self.u_ref.shape[1] != self.R.shape[0]:
                 raise ValueError("u_ref must be (horizon, control_dim)")
-        self.angle_dims = frozenset(int(i) for i in self.angle_dims)
+        n = self.Q.shape[0]
+        dims = self.angle_dims
+        if not isinstance(dims, (list, tuple, set, frozenset)) or any(
+                isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                or not 0 <= i < n for i in dims):
+            raise ValueError(f"angle_dims must list state indices in "
+                             f"[0, {n}), got {dims!r}")
+        self.angle_dims = frozenset(int(i) for i in dims)
         self._angle_idx = tuple(sorted(self.angle_dims))
 
     def state_error(self, state):

@@ -303,7 +303,13 @@ _SYSTEMS = {
 
 def make_system(system_id: str, params: dict | None = None) -> System:
     """Build a system from its config id and parameter dict."""
-    if system_id not in _SYSTEMS:
-        raise ValueError(f"unknown system {system_id!r}; "
-                         f"known: {sorted(_SYSTEMS)}")
-    return _SYSTEMS[system_id](dict(params or {}))
+    if not isinstance(system_id, str) or system_id not in _SYSTEMS:
+        raise ValueError(f"system.id must be one of {sorted(_SYSTEMS)}, "
+                         f"got {system_id!r}")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError(f"system.params must be an object, got {params!r}")
+    try:
+        return _SYSTEMS[system_id](dict(params))
+    except TypeError as exc:   # a name the system does not take
+        raise ValueError(f"system.params of {system_id}: {exc}") from None

@@ -67,13 +67,21 @@ def _reject_unknown(section: dict, allowed: set, where: str):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _as_array(value, name):
+    """value as a float array, or a ValueError naming the config key."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers, got {value!r}") from None
+
+
 def _as_matrix(spec, name):
-    arr = np.asarray(spec, dtype=float)
+    arr = _as_array(spec, f"cost.{name}")
     if arr.ndim == 1:
         return np.diag(arr)
     if arr.ndim == 2:
         return arr
-    raise ValueError(f"{name} must be a vector (diagonal) or a matrix")
+    raise ValueError(f"cost.{name} must be a vector (diagonal) or a matrix")
 
 
 @dataclass
@@ -120,9 +128,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         Q=_as_matrix(cost_sec["Q"], "Q"),
         R=_as_matrix(cost_sec["R"], "R"),
         Q_T=_as_matrix(cost_sec["Q_T"], "Q_T"),
-        x_target=np.asarray(cost_sec["x_target"], dtype=float),
-        u_ref=None if u_ref is None else np.asarray(u_ref, dtype=float),
-        angle_dims=frozenset(cost_sec.get("angle_dims", ())),
+        x_target=_as_array(cost_sec["x_target"], "cost.x_target"),
+        u_ref=None if u_ref is None else _as_array(u_ref, "cost.u_ref"),
+        angle_dims=cost_sec.get("angle_dims", frozenset()),
     )
 
     svgd_sec = dict(raw.get("svgd", {}))
@@ -136,6 +144,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "lambda" in ctrl_sec:
         ctrl_sec["lambda_"] = ctrl_sec.pop("lambda")
     controller = ControllerConfig(svgd=svgd_cfg, **ctrl_sec)
+    if u_ref is not None and len(cost_spec.u_ref) != controller.horizon:
+        raise ValueError(f"cost.u_ref must have controller.horizon = "
+                         f"{controller.horizon} rows, got "
+                         f"{len(cost_spec.u_ref)}")
     if np.shape(controller.sigma) not in ((), (1,), (system.control_dim,)):
         raise ValueError(f"controller.sigma must broadcast to the "
                          f"{system.control_dim} controls")
@@ -143,9 +155,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     exp_sec = raw["experiment"]
     _reject_unknown(exp_sec, {"algos", "n_trials", "base_seed", "t_total",
                               "x0", "out_dir"}, "experiment")
-    algos = list(exp_sec["algos"])
+    algos = exp_sec["algos"]
     known = sorted(_STEPPERS)
-    if not algos or any(a not in known or algos.count(a) > 1 for a in algos):
+    if (not isinstance(algos, list) or not algos
+            or any(a not in known or algos.count(a) > 1 for a in algos)):
         raise ValueError(f"experiment.algos must be distinct names from "
                          f"{known}, got {algos!r}")
     n_trials = exp_sec.get("n_trials", 5)
@@ -162,7 +175,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                              rel_tol=1e-9):
         raise ValueError(f"experiment.t_total must span a whole number "
                          f"(>= 1) of {system.dt} s steps, got {t_total!r}")
-    x0 = np.asarray(exp_sec["x0"], dtype=float)
+    x0 = _as_array(exp_sec["x0"], "experiment.x0")
     if x0.shape != (system.state_dim,) or not np.isfinite(x0).all():
         raise ValueError("experiment.x0 must be finite with one entry per "
                          "state")
@@ -306,7 +319,7 @@ def run_experiment(config: ExperimentConfig, out_dir,
         config=config.raw, version=__version__,
         trial_seeds=[config.base_seed + i for i in range(config.n_trials)],
         started=datetime.datetime.now(datetime.timezone.utc).isoformat())
-    records: dict[str, dict[int, TrialRecord]] = {a: {} for a in config.algos}
+    records: dict[str, list[TrialRecord]] = {a: [] for a in config.algos}
 
     def write_manifest():
         with open(out / "manifest.json.tmp", "w") as fh:
@@ -319,7 +332,7 @@ def run_experiment(config: ExperimentConfig, out_dir,
                 rec = _run_one_trial(config, algo, i)
                 fname = f"{algo}_trial_{i}.csv"
                 write_record_csv(out / fname, rec)
-                records[algo][i] = rec
+                records[algo].append(rec)
                 manifest.record_files[fname] = algo
                 write_manifest()
         write_summary(config, records, out)
@@ -332,8 +345,9 @@ def run_experiment(config: ExperimentConfig, out_dir,
 
 
 def write_summary(config: ExperimentConfig,
-                  records: dict[str, dict[int, TrialRecord]], out_dir):
-    """summary.csv (per-algo statistics) and pvalues.csv (pairwise tests)."""
+                  records: dict[str, list[TrialRecord]], out_dir):
+    """summary.csv (per-algo statistics) and pvalues.csv (pairwise tests)
+    from each algorithm's trial records in trial order."""
     out = Path(out_dir)
     metric_fns = default_metrics(config)
     with open(out / "summary.csv", "w", newline="") as fh:
@@ -341,8 +355,7 @@ def write_summary(config: ExperimentConfig,
         w.writerow(["algo", "metric", "mean", "std", "median", "n",
                     "n_nonconverged"])
         for algo in config.algos:
-            recs = [records[algo][i] for i in sorted(records[algo])]
-            for row in summarize(recs, metric_fns):
+            for row in summarize(records[algo], metric_fns):
                 w.writerow([algo, row.metric, _FMT % row.mean,
                             _FMT % row.std, _FMT % row.median, row.n,
                             row.n_nonconverged])
@@ -354,8 +367,8 @@ def write_summary(config: ExperimentConfig,
                 if algo_a == algo_b:
                     continue
                 for name, fn in metric_fns.items():
-                    va = [fn(r) for r in records[algo_a].values()]
-                    vb = [fn(r) for r in records[algo_b].values()]
+                    va = [fn(r) for r in records[algo_a]]
+                    vb = [fn(r) for r in records[algo_b]]
                     va = [v for v in va if v is not None]
                     vb = [v for v in vb if v is not None]
                     try:

@@ -12,18 +12,20 @@ The kernel is the RBF ``exp(-||d||^2 / (2 sigma^2))`` of standard SVGD
 (Liu & Wang, 2016).  ``kernel`` and ``kernel_grad_wrt_first`` are the scalar
 pair definitions the two routines below are tested against.
 
+``stein_direction`` is the one entry point: it resolves the bandwidth (the
+fixed value, or ``median_bandwidth`` on the squared distances of one
+``_pairwise`` pass) and picks the route from K, m and the span alone.
 ``_direction_blocked`` evaluates every pair, for any control dimension m, on
-the pair differences of ``_pairwise``, which the median bandwidth shares; its
-sum over j runs in sample-index order, so it is bit-stable regardless of
-thread count.  For scalar controls (m = 1) whose span is a few bandwidths,
-``_direction_low_rank`` interpolates the kernel in both arguments on r
-Chebyshev nodes and needs r^2 exponentials instead of K^2 (the symmetric
-global form of the black-box fast multipole method, Fong & Darve, 2009).  It
-agrees with the blocked routine to rounding (within 1e-12 norm-wise), not
-bitwise.  ``_direction`` picks it from K, m and the span alone.  Both routes
-form their differences as rank-2 products, ``[x, -1] @ [1; s]``: each entry
-is ``x_a - s_i`` rounded once, as both of its products are exact, so it is
-the subtraction's bits on finite input, up to the sign of an exact zero.
+that pass's differences; its sum over j runs in sample-index order, so it is
+bit-stable regardless of thread count.  For scalar controls (m = 1) whose
+span is a few bandwidths, ``_direction_low_rank`` interpolates the kernel in
+both arguments on r Chebyshev nodes and needs r^2 exponentials instead of
+K^2 (the symmetric global form of the black-box fast multipole method, Fong
+& Darve, 2009).  It agrees with the blocked routine to rounding (within
+1e-12 norm-wise), not bitwise.  Both routes form their differences as rank-2
+products, ``[x, -1] @ [1; s]``: each entry is ``x_a - s_i`` rounded once, as
+both of its products are exact, so it is the subtraction's bits on finite
+input, up to the sign of an exact zero.
 Under numpy 2.4.6 and OpenBLAS 0.3.31 a broadcast subtraction took 3-4x as
 long (32.7 against 9.2 us at (42, 500)).
 """
@@ -151,9 +153,19 @@ def _pairwise(p):
     return diff, d2
 
 
-def _median_bandwidth(p, d2=None):
-    """``median_bandwidth`` of (K, m) particles; d2 is their K x K
-    ``_pairwise`` squared distances, computed here when not given."""
+def median_bandwidth(particles: np.ndarray, d2=None) -> float:
+    """Median-pairwise heuristic: 2 sigma_k^2 = median(d^2) / log K.
+
+    The median runs over the n = K(K-1)/2 distinct pairs, but is read off
+    the full K x K squared-distance matrix with one partition: d2, the
+    particles' ``_pairwise`` squared distances, computed here when not
+    given.  Its diagonal is exactly 0 and it is bitwise symmetric
+    ((a-b)^2 == (b-a)^2, summed in the same order), so sorted it holds K
+    zeros and then every pair value twice: pair order statistic r sits at
+    index K + 2r.  The result is bitwise equal to ``np.median`` over the
+    upper triangle.  Any non-finite particle gives NaN.
+    """
+    p = np.ascontiguousarray(particles, dtype=float)
     K = p.shape[0]
     if K < 2:
         return 1.0
@@ -171,20 +183,6 @@ def _median_bandwidth(p, d2=None):
     if med <= 0.0:
         return 1.0
     return math.sqrt(med / (2.0 * math.log(K)))
-
-
-def median_bandwidth(particles: np.ndarray) -> float:
-    """Median-pairwise heuristic: 2 sigma_k^2 = median(d^2) / log K.
-
-    The median runs over the n = K(K-1)/2 distinct pairs, but is read off
-    the full K x K squared-distance matrix with one partition.  Its diagonal
-    is exactly 0 and it is bitwise symmetric ((a-b)^2 == (b-a)^2, summed in
-    the same order), so sorted it holds K zeros and then every pair value
-    twice: pair order statistic r sits at index K + 2r.  The result is
-    bitwise equal to ``np.median`` over the upper triangle.  Any non-finite
-    particle gives NaN.
-    """
-    return _median_bandwidth(np.ascontiguousarray(particles, dtype=float))
 
 
 def _node_count(span: float) -> int:
@@ -224,28 +222,6 @@ def _node_products(r: int):
     for a in (gram, weights, lhs):
         a.flags.writeable = False
     return gram, weights, lhs
-
-
-def _direction(p, g, sigma_k, alpha, pairs=None):
-    """Stein direction for (K, m) particles.
-
-    Scalar controls take the low-rank route when their span is at most
-    _MAX_SPAN bandwidths and its r nodes satisfy _MIN_SAVING * r <= K (it
-    evaluates r^2 exponentials and K * r basis terms, the blocked loop
-    K^2); every other set takes the blocked loop, on the ``_pairwise``
-    output if given.
-    """
-    K, m = p.shape
-    if m == 1 and K >= 2:
-        u = p[:, 0] / sigma_k
-        lo, hi = u.min(), u.max()
-        span = float(hi - lo)
-        if span <= _MAX_SPAN:          # False for a NaN or infinite span
-            r = _node_count(span)
-            if _MIN_SAVING * r <= K:
-                return _direction_low_rank(u, g[:, 0], sigma_k, alpha, r,
-                                           lo, hi)
-    return _direction_blocked(p, g, sigma_k, alpha, pairs)
 
 
 def _direction_blocked(p, g, sigma_k, alpha, pairs=None):
@@ -325,15 +301,30 @@ def _direction_low_rank(u, g, sigma_k, alpha, r, lo, hi):
 
 
 def stein_direction(pset: ParticleSet, cfg: SvgdConfig) -> np.ndarray:
-    """Update direction for every particle, shape (K, m); with the median
-    bandwidth one ``_pairwise`` pass serves the median and the blocked loop."""
+    """Update direction for every particle, shape (K, m).
+
+    With the median bandwidth one ``_pairwise`` pass serves the median and
+    the blocked loop.  Scalar controls take the low-rank route when their
+    span is at most _MAX_SPAN bandwidths and its r nodes satisfy
+    _MIN_SAVING * r <= K (r^2 exponentials and K * r basis terms against
+    the blocked loop's K^2); every other set takes the blocked loop.
+    """
     p = np.ascontiguousarray(pset.particles, dtype=float)
     g = np.ascontiguousarray(pset.grads, dtype=float)
     if not np.isfinite(g).all():
         i = int(np.argmin(np.isfinite(g).all(axis=1)))   # first False
         raise ValueError(f"non-finite gradient for sample index {i}")
-    if isinstance(cfg.bandwidth, str):   # "median"
-        pairs = _pairwise(p)
-        return _direction(p, g, _median_bandwidth(p, pairs[1]), cfg.alpha,
-                          pairs)
-    return _direction(p, g, float(cfg.bandwidth), cfg.alpha)
+    median = isinstance(cfg.bandwidth, str)   # "median"
+    pairs = _pairwise(p) if median else None
+    sigma_k = median_bandwidth(p, pairs[1]) if median else float(cfg.bandwidth)
+    K, m = p.shape
+    if m == 1 and K >= 2:
+        u = p[:, 0] / sigma_k
+        lo, hi = u.min(), u.max()
+        span = float(hi - lo)
+        if span <= _MAX_SPAN:          # False for a NaN or infinite span
+            r = _node_count(span)
+            if _MIN_SAVING * r <= K:
+                return _direction_low_rank(u, g[:, 0], sigma_k, cfg.alpha, r,
+                                           lo, hi)
+    return _direction_blocked(p, g, sigma_k, cfg.alpha, pairs)

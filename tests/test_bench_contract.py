@@ -5,7 +5,8 @@ up by.  A rename that drops one of those names would break the benchmark
 silently, so these tests load ``spans.py`` as it is (read-only, no bytecode
 written next to it) and check that every name it patches or calls resolves,
 that its probes put the originals back, and that a traced threaded battery
-records the Stein calls with their pair counts.
+records the Stein calls with their pair counts and one median-bandwidth call
+inside each.
 """
 
 import importlib.util
@@ -88,6 +89,12 @@ def test_traced_threaded_battery_counts_stein_pairs(spans, tmp_path):
              if name == "svgd.stein_direction"]
     soppi_steps = config.n_trials * config.n_steps
     assert stein == [K * K] * (soppi_steps * horizon * iterations)
+
+    # The median-bandwidth probe records each Stein call's median, inside it.
+    names = {sid: name for sid, _, name, _, _, _ in tracer.spans}
+    median_parents = [names[parent] for _, parent, name, _, _, _
+                      in tracer.spans if name == "svgd.median_bandwidth"]
+    assert median_parents == ["svgd.stein_direction"] * len(stein)
 
     _, calls, steps = spans.summarize(tracer.spans)
     assert calls["controller.step"] == 2 * soppi_steps

@@ -152,6 +152,19 @@ class TestValidation:
             CostSpec(Q=np.diag([1.0, -1.0]), R=np.eye(1), Q_T=np.eye(2),
                      x_target=np.zeros(2))
 
+    @pytest.mark.parametrize("dims", [2, "2", [4], [-1], [2.5], [True],
+                                      {0: 1}])
+    def test_rejects_bad_angle_dims(self, dims):
+        with pytest.raises(ValueError, match="angle_dims"):
+            CostSpec(Q=np.eye(4), R=np.eye(1), Q_T=np.eye(4),
+                     x_target=np.zeros(4), angle_dims=dims)
+
+    @pytest.mark.parametrize("dims", [[], (0, 3), {np.int64(2)}, [2, 2]])
+    def test_accepts_state_indices_as_angle_dims(self, dims):
+        spec = CostSpec(Q=np.eye(4), R=np.eye(1), Q_T=np.eye(4),
+                        x_target=np.zeros(4), angle_dims=dims)
+        assert spec.angle_dims == frozenset(int(i) for i in dims)
+
     def test_rejects_bad_u_ref_shape(self):
         with pytest.raises(ValueError, match="u_ref"):
             CostSpec(Q=np.eye(2), R=np.eye(1), Q_T=np.eye(2),

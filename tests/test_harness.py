@@ -75,6 +75,16 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown keys"):
             harness.parse_config(raw)
 
+    @pytest.mark.parametrize("rows", [1, 4, 6])
+    def test_u_ref_needs_one_row_per_horizon_step(self, rows):
+        raw = tiny_config()
+        raw["cost"]["u_ref"] = [[0.5]] * rows
+        with pytest.raises(ValueError, match="u_ref.*horizon = 5"):
+            harness.parse_config(raw)
+        raw["cost"]["u_ref"] = [[0.5]] * 5
+        np.testing.assert_array_equal(
+            harness.parse_config(raw).cost_spec.u_ref, np.full((5, 1), 0.5))
+
     def test_missing_section(self):
         raw = tiny_config()
         del raw["cost"]
@@ -462,6 +472,17 @@ class TestCli:
         ("experiment", "t_total", 0.005), ("experiment", "t_total", 0.03),
         ("experiment", "x0", [0.0, 0.0, math.nan, 0.0]),
         ("experiment", "x0", [0.0, math.inf, 0.0, 0.0]),
+        ("experiment", "algos", 5), ("experiment", "algos", "mppi"),
+        ("system", "id", ["cartpole"]), ("system", "id", "acrobot"),
+        ("system", "params", [1.0]), ("system", "params", 5),
+        ("system", "params", {"foo": 1}),
+        ("cost", "Q", {"a": 1.0}), ("cost", "R", {"a": 1.0}),
+        ("cost", "Q_T", {"a": 1.0}), ("cost", "x_target", {"a": 1.0}),
+        ("cost", "u_ref", {"a": 1.0}), ("experiment", "x0", {"a": 1.0}),
+        ("cost", "angle_dims", 2), ("cost", "angle_dims", [7]),
+        ("cost", "angle_dims", [-1]), ("cost", "angle_dims", [2.5]),
+        ("cost", "angle_dims", [True]), ("cost", "angle_dims", "2"),
+        ("cost", "u_ref", [[0.0]] * 4), ("cost", "u_ref", [[0.0]] * 6),
     ])
     def test_malformed_value_rejected_before_any_output(
             self, tmp_path, capsys, section, key, value):
@@ -517,6 +538,25 @@ class TestCli:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_directory_is_an_error_exit(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        rc = cli_main(["run", "--config", str(tmp_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_an_error_exit(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        out.write_text("kept")
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert out.read_text() == "kept"
 
     def test_missing_results_dir(self, tmp_path, capsys):
         rc = cli_main(["summarize", "--in", str(tmp_path / "nope")])

@@ -496,7 +496,9 @@ class TestSharedPairwisePass:
                 if len(low_rank_calls) > n_calls:
                     # The low-rank route reads no pair differences; it is
                     # the fixed-bandwidth call at the same bandwidth.
-                    want = svgd._direction(p, g, sigma_k, 1.5)
+                    want = stein_direction(ParticleSet(p, g),
+                                           SvgdConfig(bandwidth=sigma_k,
+                                                      alpha=1.5))
                 else:
                     blocked += 1
                     want = direction_blocked_before_shared_pass(
@@ -536,6 +538,37 @@ class TestSharedPairwisePass:
         calls.clear()
         median_bandwidth(p)
         assert calls == [(K, 2)]
+
+    @pytest.mark.parametrize("bandwidth,K,m", [
+        ("median", 128, 1), ("median", 500, 1), ("median", 64, 2),
+        ("median", 2, 1), (0.5, 128, 1), (0.5, 64, 2)])
+    def test_median_read_once_from_the_shared_pass(self, monkeypatch,
+                                                   bandwidth, K, m):
+        # The median path resolves its bandwidth through the public
+        # median_bandwidth, once per call, on the _pairwise distances.
+        passes, medians = [], []
+        real_pairwise, real_median = svgd._pairwise, svgd.median_bandwidth
+
+        def pairwise_spy(p):
+            passes.append(real_pairwise(p))
+            return passes[-1]
+
+        def median_spy(particles, d2=None):
+            medians.append(d2)
+            return real_median(particles, d2)
+
+        monkeypatch.setattr(svgd, "_pairwise", pairwise_spy)
+        monkeypatch.setattr(svgd, "median_bandwidth", median_spy)
+        rng = np.random.default_rng(K + m)
+        p = rng.normal(size=(K, m))
+        g = rng.normal(size=(K, m))
+        for call in range(1, 3):
+            stein_direction(ParticleSet(p, g), SvgdConfig(bandwidth=bandwidth))
+            if bandwidth == "median":
+                assert len(medians) == len(passes) == call
+                assert all(d2 is d for d2, (_, d) in zip(medians, passes))
+            else:
+                assert medians == []
 
 
 def pairwise_before_products(p):

@@ -9,7 +9,8 @@ output directory, so run this once up front to keep the test suite fast:
     python3 scripts/run_cartpole_benchmark.py --out results/cartpole_benchmark
 
 It took 6.5 minutes of wall time on a shared 2-vCPU x86-64 machine, 5.6 of
-them in the five SOPPI trials; trials run one at a time.  Pass
+them in the five SOPPI trials; trials run one at a time, and the manifest's
+``trial_seconds`` holds each trial's wall time.  Pass
 --trials/--seed to shrink or reseed the battery (the acceptance tests only
 reuse runs made with the default settings).
 """

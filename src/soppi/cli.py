@@ -18,16 +18,17 @@ from . import harness
 
 
 def _cmd_run(args):
-    config = harness.load_config(args.config)
-    raw = config.raw
-    if args.algo:
-        raw["experiment"]["algos"] = [args.algo]
-    if args.trials is not None:
-        raw["experiment"]["n_trials"] = args.trials
-    if args.seed is not None:
-        raw["experiment"]["base_seed"] = args.seed
+    raw = harness.load_raw_config(args.config)
+    exp = raw.get("experiment") if isinstance(raw, dict) else None
+    if isinstance(exp, dict):   # otherwise parse_config names the fault
+        if args.algo:
+            exp["algos"] = [args.algo]
+        if args.trials is not None:
+            exp["n_trials"] = args.trials
+        if args.seed is not None:
+            exp["base_seed"] = args.seed
     config = harness.parse_config(raw)
-    out = args.out or raw["experiment"].get("out_dir", "results")
+    out = args.out or config.out_dir
     manifest = harness.run_experiment(config, out)
     print(f"wrote {len(manifest.record_files)} record files to {out}")
     return 0

@@ -13,7 +13,6 @@ diverged, the step keeps the nominal it was given, with all-zero weights.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,8 +251,7 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
     """Receding-horizon episode of n_steps environment steps.
 
     Applies the first nominal control to the true dynamics each step, then
-    shifts the nominal left, appending zero.  Wall time per controller step
-    is recorded.
+    shifts the nominal left, appending zero.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -261,17 +259,15 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
         raise ValueError(f"unknown algorithm {algo!r}; known: {sorted(_STEPPERS)}")
     stepper = _STEPPERS[algo]
     # draw_noise imports scipy.special on first use; load it here so that
-    # no timed step pays for the import.
+    # the first step does not pay for the import.
     import scipy.special  # noqa: F401
     x = np.asarray(x0, dtype=float).copy()
     U = np.zeros((cfg.horizon, system.control_dim))
     states = [x.copy()]
-    controls, wall, times = [], [], [0.0]
+    controls, times = [], [0.0]
     for i in range(n_steps):
-        t0 = time.perf_counter()
         res = stepper(system, spec, cfg, x, U,
                       step_seed=sampling.derive_step_seed(cfg.seed, i))
-        wall.append(time.perf_counter() - t0)
         x = system.step(x, res.applied)
         U = np.vstack([res.u_star[1:], np.zeros((1, system.control_dim))])
         states.append(x.copy())
@@ -279,6 +275,5 @@ def run_episode(system: System, spec: CostSpec, cfg: ControllerConfig,
         times.append((i + 1) * system.dt)
     return TrialRecord(times=np.asarray(times),
                        states=np.asarray(states),
-                       controls=np.asarray(controls),
-                       step_wall_times=np.asarray(wall))
+                       controls=np.asarray(controls))
 

@@ -4,15 +4,14 @@ Trial i of every algorithm uses seed ``base_seed + i``, so the Gaussian
 perturbations are identical across algorithms before any refinement and
 differences are attributable to the algorithm alone.  Per-trial records are
 written as CSV with 17 significant digits; a run manifest captures
-everything needed to reproduce the records bit for bit.
-
-Trials run one at a time: on 2 vCPUs two threads took 1.3-2.0x the serial
-battery time (each SOPPI step 2.4-3.2x) as they contended for the GIL.
+everything needed to reproduce the records bit for bit, and the wall time
+of each trial.  The records and summary tables hold no timing, so a run
+that moves no number rewrites them byte for byte.
 
 Importing this module and parsing a config load numpy but not scipy:
 ``code_fingerprint`` imports scipy for its version, and ``scipy.special``
-loads when the first episode starts (see ``sampling``).  Commands that never
-step, such as ``soppi plotdata`` or a run that fails config checks, skip
+loads when a battery or an episode starts (see ``sampling``).  Commands that
+never step, such as ``soppi plotdata`` or a run that fails config checks, skip
 that import, which costs about as much as numpy's.
 """
 
@@ -26,6 +25,7 @@ import json
 import logging
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,6 +97,7 @@ class ExperimentConfig:
     base_seed: int
     t_total: float
     x0: np.ndarray
+    out_dir: str
 
     @property
     def n_steps(self) -> int:
@@ -175,6 +176,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                              rel_tol=1e-9):
         raise ValueError(f"experiment.t_total must span a whole number "
                          f"(>= 1) of {system.dt} s steps, got {t_total!r}")
+    out_dir = exp_sec.get("out_dir", "results")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ValueError(f"experiment.out_dir must be a non-empty string, "
+                         f"got {out_dir!r}")
     x0 = _as_array(exp_sec["x0"], "experiment.x0")
     if x0.shape != (system.state_dim,) or not np.isfinite(x0).all():
         raise ValueError("experiment.x0 must be finite with one entry per "
@@ -182,16 +187,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         raw=raw, system=system, cost_spec=cost_spec, controller=controller,
         algos=algos, n_trials=n_trials, base_seed=base_seed,
-        t_total=float(t_total), x0=x0)
+        t_total=float(t_total), x0=x0, out_dir=out_dir)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load a JSON config file; a run manifest is accepted as well."""
+def load_raw_config(path):
+    """The unparsed config of a JSON config file or of a run manifest."""
     with open(path) as fh:
         raw = json.load(fh)
     if isinstance(raw, dict) and "config" in raw:   # a manifest's snapshot
         raw = raw["config"]
-    return parse_config(raw)
+    return raw
 
 
 def code_fingerprint() -> dict:
@@ -212,7 +217,8 @@ def code_fingerprint() -> dict:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce the run bit for bit."""
+    """Everything needed to reproduce the run bit for bit, and the wall
+    time in seconds of each finished trial, keyed by its record file."""
 
     config: dict
     version: str
@@ -221,6 +227,7 @@ class RunManifest:
     finished: str | None = None
     complete: bool = False
     record_files: dict = field(default_factory=dict)
+    trial_seconds: dict = field(default_factory=dict)
     fingerprint: dict = field(default_factory=code_fingerprint)
 
 
@@ -241,8 +248,6 @@ def default_metrics(config: ExperimentConfig):
                 2, 0.0, 0.05, mode="fraction_of_range", wrap_angle=True)),
             "ts_theta_10pct": ts(SettlingCriterion(
                 2, 0.0, 0.10, mode="fraction_of_range", wrap_angle=True)),
-            "mean_step_wall_ms":
-                lambda r: 1e3 * float(np.mean(r.step_wall_times)),
         }
     n = config.system.state_dim
     tgt = config.cost_spec.x_target
@@ -251,11 +256,11 @@ def default_metrics(config: ExperimentConfig):
 
 
 def write_record_csv(path, record: TrialRecord):
-    """CSV with columns t, state_*, u_*, wall_ms; last row has no control."""
+    """CSV with columns t, state_*, u_*; the last row has no control."""
     n = record.states.shape[1]
     m = record.controls.shape[1] if record.controls.size else 1
     header = (["t"] + [f"state_{i}" for i in range(n)]
-              + [f"u_{j}" for j in range(m)] + ["wall_ms"])
+              + [f"u_{j}" for j in range(m)])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -264,13 +269,14 @@ def write_record_csv(path, record: TrialRecord):
             row = [_FMT % t] + [_FMT % v for v in record.states[i]]
             if i < n_ctrl:
                 row += [_FMT % v for v in record.controls[i]]
-                row += [_FMT % (1e3 * record.step_wall_times[i])]
             else:
-                row += [""] * (m + 1)
+                row += [""] * m
             w.writerow(row)
 
 
 def read_record_csv(path) -> TrialRecord:
+    """The record of a ``write_record_csv`` file.  Columns after the
+    controls, such as the step times of older runs, are ignored."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -278,21 +284,28 @@ def read_record_csv(path) -> TrialRecord:
             raise ValueError(f"{path}: empty record file")
         n = sum(1 for h in header if h.startswith("state_"))
         m = sum(1 for h in header if h.startswith("u_"))
-        times, states, controls, wall = [], [], [], []
+        times, states, controls = [], [], []
+        blank = None   # line of the row without a control: the last one
         for row in reader:
+            if blank is not None:
+                raise ValueError(f"{path}:{blank}: no control on a row "
+                                 "before the last")
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, {len(header)} named")
                 times.append(float(row[0]))
                 states.append([float(v) for v in row[1:1 + n]])
-                if row[1 + n] != "":
+                if row[1 + n] == "":
+                    blank = reader.line_num
+                else:
                     controls.append([float(v) for v in row[1 + n:1 + n + m]])
-                    wall.append(float(row[-1]) / 1e3)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return TrialRecord(times=np.asarray(times), states=np.asarray(states),
-                       controls=np.asarray(controls),
-                       step_wall_times=np.asarray(wall))
+    try:
+        return TrialRecord(times=np.asarray(times), states=np.asarray(states),
+                           controls=np.asarray(controls))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _run_one_trial(config: ExperimentConfig, algo: str, trial: int):
@@ -307,10 +320,11 @@ def run_experiment(config: ExperimentConfig, out_dir,
     """Run the full trial battery and persist records, summary, manifest.
 
     Trials run one at a time in job order.  Each trial's CSV and a whole
-    new manifest listing it are written as soon as it returns, so a failed
-    battery keeps finished trials.  ``workers`` (an integer >= 1) changes
-    nothing; it is kept, and checked, only because the performance
-    benchmark passes it, and goes when the benchmark stops doing so.
+    new manifest listing it, with its wall time, are written as soon as it
+    returns, so a failed battery keeps finished trials.  ``workers`` (an
+    integer >= 1) changes nothing; it is kept, and checked, only because the
+    performance benchmark passes it, and goes when the benchmark stops doing
+    so.
     """
     _require_int(workers, "workers", 1)
     out = Path(out_dir)
@@ -320,6 +334,9 @@ def run_experiment(config: ExperimentConfig, out_dir,
         trial_seeds=[config.base_seed + i for i in range(config.n_trials)],
         started=datetime.datetime.now(datetime.timezone.utc).isoformat())
     records: dict[str, list[TrialRecord]] = {a: [] for a in config.algos}
+    # run_episode imports scipy.special on first use; load it here so that
+    # the first trial's time does not include the import.
+    import scipy.special  # noqa: F401
 
     def write_manifest():
         with open(out / "manifest.json.tmp", "w") as fh:
@@ -329,8 +346,10 @@ def run_experiment(config: ExperimentConfig, out_dir,
     try:
         for algo in config.algos:
             for i in range(config.n_trials):
+                t0 = time.perf_counter()
                 rec = _run_one_trial(config, algo, i)
                 fname = f"{algo}_trial_{i}.csv"
+                manifest.trial_seconds[fname] = time.perf_counter() - t0
                 write_record_csv(out / fname, rec)
                 records[algo].append(rec)
                 manifest.record_files[fname] = algo

@@ -31,18 +31,15 @@ class TrialRecord:
     strictly increasing.
     """
 
-    times: np.ndarray            # (T+1,) seconds
-    states: np.ndarray           # (T+1, n)
-    controls: np.ndarray         # (T, m)
-    step_wall_times: np.ndarray  # (T,) seconds
+    times: np.ndarray     # (T+1,) seconds
+    states: np.ndarray    # (T+1, n)
+    controls: np.ndarray  # (T, m)
 
     def __post_init__(self):
         if len(self.states) != len(self.times):
             raise ValueError("states and times must have equal length")
         if len(self.controls) != len(self.states) - 1:
             raise ValueError("controls must be one shorter than states")
-        if len(self.step_wall_times) != len(self.controls):
-            raise ValueError("one wall time per control")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 

@@ -16,12 +16,11 @@ pair definitions the two routines below are tested against.
 fixed value, or ``median_bandwidth`` on the squared distances of one
 ``_pairwise`` pass) and picks the route from K, m and the span alone.
 ``_direction_blocked`` evaluates every pair, for any control dimension m, on
-that pass's differences; its sum over j runs in sample-index order, so it is
-bit-stable regardless of thread count.  For scalar controls (m = 1) whose
-span is a few bandwidths, ``_direction_low_rank`` interpolates the kernel in
-both arguments on r Chebyshev nodes and needs r^2 exponentials instead of
-K^2 (the symmetric global form of the black-box fast multipole method, Fong
-& Darve, 2009).  It agrees with the blocked routine to rounding (within
+that pass's differences.  For scalar controls (m = 1) whose span is a few
+bandwidths, ``_direction_low_rank`` interpolates the kernel in both
+arguments on r Chebyshev nodes and needs r^2 exponentials instead of K^2
+(the symmetric global form of the black-box fast multipole method, Fong &
+Darve, 2009).  It agrees with the blocked routine to rounding (within
 1e-12 norm-wise), not bitwise.  Both routes form their differences as rank-2
 products, ``[x, -1] @ [1; s]``: each entry is ``x_a - s_i`` rounded once, as
 both of its products are exact, so it is the subtraction's bits on finite

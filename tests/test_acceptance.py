@@ -170,7 +170,7 @@ def _replays_bitwise():
 
     Replays the first CANARY_STEPS steps of trial 0 of every algorithm and
     compares states and controls bitwise with the stored CSVs (the 17-digit
-    CSV values round-trip exactly); wall_ms is timing and is left out.
+    CSV values round-trip exactly).
     """
     config = harness.parse_config(benchmark_config())
     cfg = dataclasses.replace(config.controller, seed=config.base_seed)
@@ -218,10 +218,6 @@ def test_cartpole_swingup_settles_with_no_divergence(benchmark_records):
             ts = settling_time(rec, THETA_BAND_10PCT)
             assert ts is not None, f"{algo} trial {i} never settled"
             assert ts <= 10.0, f"{algo} trial {i} settled at {ts:.2f} s"
-    wall = sum(float(np.sum(r.step_wall_times))
-               for recs in benchmark_records.values() for r in recs)
-    print(f"\nbenchmark controller wall time: {wall / 60:.1f} min "
-          "(15 min desktop target; 6.5 min measured serially on 2 vCPUs)")
 
 
 def test_refined_sampler_beats_baseline_directionally(benchmark_records):
@@ -240,6 +236,29 @@ def test_refined_sampler_beats_baseline_directionally(benchmark_records):
           f"{np.mean(ts_m):.3f} s (one-tailed Welch p={p_ts:.3f})")
     assert np.mean(mse_s) <= np.mean(mse_m)
     assert np.mean(ts_s) <= np.mean(ts_m)
+
+
+def test_committed_battery_is_what_the_writers_make_of_it(tmp_path):
+    # Each committed trial CSV is what write_record_csv makes of its own
+    # record, header included, and summary.csv and pvalues.csv are what
+    # write_summary makes of the records: no committed file is left in an
+    # older format, or stale against the records.
+    run_dir = REPO_ROOT / "results" / "cartpole_benchmark"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert sorted(manifest["record_files"]) == sorted(
+        p.name for p in run_dir.glob("*_trial_*.csv"))
+    records = {}
+    for fname, algo in manifest["record_files"].items():
+        rec = harness.read_record_csv(run_dir / fname)
+        harness.write_record_csv(tmp_path / fname, rec)
+        assert (tmp_path / fname).read_bytes() == \
+            (run_dir / fname).read_bytes(), fname
+        records.setdefault(algo, []).append(rec)
+    harness.write_summary(harness.parse_config(manifest["config"]), records,
+                          tmp_path)
+    for name in ("summary.csv", "pvalues.csv"):
+        assert (tmp_path / name).read_bytes() == \
+            (run_dir / name).read_bytes(), name
 
 
 # --- gate 7: the statistics engine matches an independent implementation ---
@@ -269,16 +288,11 @@ def test_parallel_run_matches_serial_bitwise(tmp_path):
                            tmp_path / "serial", workers=1)
     harness.run_experiment(harness.parse_config(copy.deepcopy(raw)),
                            tmp_path / "par", workers=4)
-    for name in sorted(p.name for p in (tmp_path / "serial").glob("*.csv")):
-        a = (tmp_path / "serial" / name).read_text().splitlines()
-        b = (tmp_path / "par" / name).read_text().splitlines()
-        if name in ("summary.csv", "pvalues.csv"):
-            a = [r for r in a if "wall" not in r]
-            b = [r for r in b if "wall" not in r]
-        else:
-            # drop the wall-clock column; it is timing, not trajectory
-            a = [",".join(r.split(",")[:-1]) for r in a]
-            b = [",".join(r.split(",")[:-1]) for r in b]
+    names = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
+    assert len(names) == 8
+    for name in names:
+        a = (tmp_path / "serial" / name).read_bytes()
+        b = (tmp_path / "par" / name).read_bytes()
         assert a == b, name
 
 
@@ -290,8 +304,7 @@ def test_metrics_against_analytic_cases():
     times = dt * np.arange(2001)
     signal = a * np.exp(-times / tau)
     rec = TrialRecord(times=times, states=signal[:, None],
-                      controls=np.zeros((2000, 1)),
-                      step_wall_times=np.full(2000, 1e-3))
+                      controls=np.zeros((2000, 1)))
     got = settling_time(rec, SettlingCriterion(0, 0.0, band))
     expected = tau * math.log(a / band)
     assert got is not None and abs(got - expected) <= dt
@@ -300,7 +313,6 @@ def test_metrics_against_analytic_cases():
     c, n = 0.75, 400
     times = dt * np.arange(n + 1)
     rec = TrialRecord(times=times, states=(c * times)[:, None],
-                      controls=np.zeros((n, 1)),
-                      step_wall_times=np.full(n, 1e-3))
+                      controls=np.zeros((n, 1)))
     exact = (c * dt) ** 2 * (n * (n + 1) * (2 * n + 1) / 6.0) / (n + 1)
     assert abs(mse(rec, 0, 0.0) - exact) < 1e-12

@@ -1,5 +1,6 @@
-"""Importing the package costs about one numpy import, and no timed step
-pays for the scipy.special import that noise drawing needs.
+"""Importing the package costs about one numpy import, and neither the
+first step nor the first timed trial pays for the scipy.special import that
+noise drawing needs.
 
 Each check runs in a fresh interpreter, because this test process has
 long since loaded scipy.
@@ -64,3 +65,31 @@ print(json.dumps({"before": before, "seen": seen}))
 """)
     assert got["before"] is False
     assert got["seen"] == [True]
+
+
+def test_first_timed_trial_finds_scipy_special_loaded():
+    got = run_fresh("""
+import tempfile
+from soppi import harness
+config = harness.parse_config({
+    "system": {"id": "pendulum", "params": {}},
+    "cost": {"Q": [10.0, 0.1], "R": [1e-3], "Q_T": [100.0, 1.0],
+             "x_target": [3.141592653589793, 0.0], "angle_dims": [0]},
+    "controller": {"K": 8, "horizon": 4, "lambda": 1.0, "sigma": 5.0},
+    "experiment": {"algos": ["mppi"], "n_trials": 2, "t_total": 0.02,
+                   "x0": [0.0, 0.0]}})
+before = "scipy.special" in sys.modules
+seen = []
+trial = harness._run_one_trial
+
+def spy(*args):
+    seen.append("scipy.special" in sys.modules)
+    return trial(*args)
+
+harness._run_one_trial = spy
+with tempfile.TemporaryDirectory() as out:
+    harness.run_experiment(config, out)
+print(json.dumps({"before": before, "seen": seen}))
+""")
+    assert got["before"] is False
+    assert got["seen"] == [True, True]

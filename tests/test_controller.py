@@ -658,9 +658,7 @@ class TestRunEpisode:
         rec = run_episode(di, di_cost, cfg, np.array([1.0, 0.0]), "mppi", 10)
         assert rec.states.shape == (11, 2)
         assert rec.controls.shape == (10, 1)
-        assert rec.step_wall_times.shape == (10,)
         np.testing.assert_allclose(rec.times, 0.1 * np.arange(11), rtol=1e-12)
-        assert np.all(rec.step_wall_times > 0)
 
     def test_deterministic(self, di, di_cost):
         cfg = ControllerConfig(K=16, horizon=6, lambda_=1.0, sigma=1.0,

@@ -141,28 +141,50 @@ class TestRecordCsv:
         rng = np.random.default_rng(0)
         rec = TrialRecord(times=0.02 * np.arange(6),
                           states=rng.normal(size=(6, 4)),
-                          controls=rng.normal(size=(5, 1)),
-                          step_wall_times=rng.uniform(1e-4, 1e-2, size=5))
+                          controls=rng.normal(size=(5, 1)))
         path = tmp_path / "rec.csv"
         harness.write_record_csv(path, rec)
         back = harness.read_record_csv(path)
         np.testing.assert_array_equal(back.times, rec.times)
         np.testing.assert_array_equal(back.states, rec.states)
         np.testing.assert_array_equal(back.controls, rec.controls)
-        np.testing.assert_allclose(back.step_wall_times, rec.step_wall_times,
-                                   rtol=1e-15)
 
     def test_header_and_final_row(self, tmp_path):
         rec = TrialRecord(times=np.array([0.0, 0.1]),
                           states=np.zeros((2, 2)),
-                          controls=np.zeros((1, 1)),
-                          step_wall_times=np.array([1e-3]))
+                          controls=np.zeros((1, 1)))
         path = tmp_path / "rec.csv"
         harness.write_record_csv(path, rec)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "state_0", "state_1", "u_0", "wall_ms"]
-        assert rows[-1][-2:] == ["", ""]  # terminal state has no control
+        assert rows[0] == ["t", "state_0", "state_1", "u_0"]
+        assert rows[-1][-1] == ""  # terminal state has no control
+
+    def test_reads_a_file_with_step_times(self, tmp_path):
+        # Older runs wrote each step's wall time in a trailing wall_ms
+        # column; their records still read, so their results still
+        # summarize.
+        path = tmp_path / "rec.csv"
+        path.write_text("t,state_0,u_0,wall_ms\n0,1.5,-2,10.5\n"
+                        "0.5,0.25,3,9.75\n1,0.125,,\n")
+        rec = harness.read_record_csv(path)
+        np.testing.assert_array_equal(rec.times, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(rec.states, [[1.5], [0.25], [0.125]])
+        np.testing.assert_array_equal(rec.controls, [[-2.0], [3.0]])
+
+    def test_header_only_file_is_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("t,state_0,u_0\n")
+        with pytest.raises(ValueError, match=f"^{path}: controls must be"):
+            harness.read_record_csv(path)
+
+    def test_first_row_without_a_control_is_rejected(self, tmp_path):
+        # Skipping the blank would accept this file, every control one step
+        # late.
+        path = tmp_path / "rec.csv"
+        path.write_text("t,state_0,u_0\n0,1,\n0.5,1,3\n1,1,4\n")
+        with pytest.raises(ValueError, match=f"^{path}:2: no control"):
+            harness.read_record_csv(path)
 
 
 class TestRunExperiment:
@@ -178,20 +200,23 @@ class TestRunExperiment:
         assert (tmp_path / "pvalues.csv").exists()
         assert (tmp_path / "manifest.json").exists()
 
+    def test_manifest_times_each_trial(self, tmp_path):
+        manifest = harness.run_experiment(
+            harness.parse_config(tiny_config()), tmp_path)
+        assert list(manifest.trial_seconds) == list(manifest.record_files)
+        assert all(s > 0 for s in manifest.trial_seconds.values())
+        with open(tmp_path / "manifest.json") as fh:
+            assert json.load(fh)["trial_seconds"] == manifest.trial_seconds
+
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = harness.parse_config(tiny_config())
         harness.run_experiment(cfg, tmp_path / "a")
         harness.run_experiment(harness.parse_config(tiny_config()),
                                tmp_path / "b")
-        for name in ("mppi_trial_0.csv", "soppi_trial_2.csv", "summary.csv"):
-            a = (tmp_path / "a" / name).read_text()
-            b = (tmp_path / "b" / name).read_text()
-            # wall-clock columns legitimately differ between runs
-            a = [",".join(r.split(",")[:-1]) for r in a.splitlines()]
-            b = [",".join(r.split(",")[:-1]) for r in b.splitlines()]
-            if name == "summary.csv":
-                a = [r for r in a if "wall" not in r]
-                b = [r for r in b if "wall" not in r]
+        for name in ("mppi_trial_0.csv", "soppi_trial_2.csv", "summary.csv",
+                     "pvalues.csv"):
+            a = (tmp_path / "a" / name).read_bytes()
+            b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
     def test_paired_seeds_share_raw_noise(self, tmp_path):
@@ -208,7 +233,8 @@ class TestRunExperiment:
     def test_manifest_reloads_as_config(self, tmp_path):
         cfg = harness.parse_config(tiny_config())
         harness.run_experiment(cfg, tmp_path)
-        again = harness.load_config(tmp_path / "manifest.json")
+        again = harness.parse_config(
+            harness.load_raw_config(tmp_path / "manifest.json"))
         assert again.controller.K == cfg.controller.K
         assert again.n_trials == cfg.n_trials
 
@@ -266,6 +292,8 @@ class TestRunExperiment:
         assert manifest["finished"] is not None
         assert list(manifest["record_files"]) == [
             f"mppi_trial_{i}.csv" for i in range(3)]
+        assert list(manifest["trial_seconds"]) == list(
+            manifest["record_files"])
         for i in range(3):
             rec = harness.read_record_csv(tmp_path / f"mppi_trial_{i}.csv")
             assert rec.controls.shape == (10, 1)
@@ -345,8 +373,7 @@ class TestSummaryFiles:
         algos = {r[0] for r in rows[1:]}
         metrics = {r[1] for r in rows[1:]}
         assert algos == {"mppi", "soppi"}
-        assert {"mse_x", "mse_theta", "ts_theta_10pct",
-                "mean_step_wall_ms"} <= metrics
+        assert {"mse_x", "mse_theta", "ts_theta_10pct"} <= metrics
         # 0.2 s episodes cannot settle; statistics stay well defined
         for r in rows[1:]:
             if r[1].startswith("mse"):
@@ -483,6 +510,8 @@ class TestCli:
         ("cost", "angle_dims", [-1]), ("cost", "angle_dims", [2.5]),
         ("cost", "angle_dims", [True]), ("cost", "angle_dims", "2"),
         ("cost", "u_ref", [[0.0]] * 4), ("cost", "u_ref", [[0.0]] * 6),
+        ("experiment", "out_dir", 5), ("experiment", "out_dir", ""),
+        ("experiment", "out_dir", ["res"]),
     ])
     def test_malformed_value_rejected_before_any_output(
             self, tmp_path, capsys, section, key, value):
@@ -515,6 +544,23 @@ class TestCli:
         if section is not None:
             assert repr(section) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_trials", 0), ("base_seed", "0"), ("algos", ["cem"])])
+    def test_flag_replaces_a_bad_config_value(self, tmp_path, key, value):
+        # The config is checked once, with the flags applied, so a bad
+        # value that a flag replaces is never seen.
+        raw = tiny_config()
+        raw["experiment"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "res"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--algo", "mppi", "--trials", "1",
+                         "--seed", "3"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] and manifest["trial_seeds"] == [3]
+        assert manifest["config"]["experiment"][key] != value
 
     def test_seed_beyond_int64_is_an_error_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -635,7 +681,7 @@ class TestCli:
         assert "manifest.json" in err and "config" in err
 
     @pytest.mark.parametrize("command", ["summarize", "plotdata"])
-    @pytest.mark.parametrize("fault", ["short", "long", "text"])
+    @pytest.mark.parametrize("fault", ["short", "long", "text", "blank"])
     def test_malformed_record_row_names_file_and_line(
             self, tmp_path, capsys, command, fault):
         cfg_path = tmp_path / "cfg.json"
@@ -647,7 +693,8 @@ class TestCli:
         lines = path.read_text().splitlines()
         row = lines[2].split(",")
         row = {"short": row[:-2], "long": row + ["1"],
-               "text": row[:1] + ["x"] + row[2:]}[fault]
+               "text": row[:1] + ["x"] + row[2:],
+               "blank": row[:-1] + [""]}[fault]   # no control, not last
         lines[2] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -664,8 +711,7 @@ def test_plot_data_columns(tmp_path):
     rng = np.random.default_rng(1)
     recs = [TrialRecord(times=0.1 * np.arange(4),
                         states=rng.normal(size=(4, 2)),
-                        controls=rng.normal(size=(3, 1)),
-                        step_wall_times=np.full(3, 1e-3)) for _ in range(2)]
+                        controls=rng.normal(size=(3, 1))) for _ in range(2)]
     written = harness.emit_plot_data({"mppi": recs}, tmp_path)
     assert len(written) == 3  # two state signals plus one control
     with open(tmp_path / "plot_mppi_state_1.csv", newline="") as fh:

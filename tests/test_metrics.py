@@ -16,8 +16,7 @@ def make_record(signal, dt=0.1):
     n = len(signal)
     return TrialRecord(times=dt * np.arange(n),
                        states=signal[:, None],
-                       controls=np.zeros((n - 1, 1)),
-                       step_wall_times=np.full(n - 1, 1e-3))
+                       controls=np.zeros((n - 1, 1)))
 
 
 class TestTrialRecord:
@@ -27,20 +26,17 @@ class TestTrialRecord:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             TrialRecord(times=np.arange(3.0), states=np.zeros((4, 1)),
-                        controls=np.zeros((3, 1)),
-                        step_wall_times=np.zeros(3))
+                        controls=np.zeros((3, 1)))
 
     def test_rejects_control_length(self):
         with pytest.raises(ValueError, match="one shorter"):
             TrialRecord(times=np.arange(3.0), states=np.zeros((3, 1)),
-                        controls=np.zeros((3, 1)),
-                        step_wall_times=np.zeros(3))
+                        controls=np.zeros((3, 1)))
 
     def test_rejects_nonmonotone_times(self):
         with pytest.raises(ValueError, match="increasing"):
             TrialRecord(times=np.array([0.0, 0.2, 0.1]),
-                        states=np.zeros((3, 1)), controls=np.zeros((2, 1)),
-                        step_wall_times=np.zeros(2))
+                        states=np.zeros((3, 1)), controls=np.zeros((2, 1)))
 
 
 class TestMse:

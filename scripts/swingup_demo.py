@@ -9,6 +9,7 @@ test after changing controller defaults.
 import argparse
 import copy
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,8 +30,7 @@ def main():
     raw["experiment"]["t_total"] = args.seconds
     raw["experiment"]["base_seed"] = args.seed
     config = harness.parse_config(raw)
-    crit = SettlingCriterion(2, 0.0, 0.10, mode="fraction_of_range",
-                             wrap_angle=True)
+    crit = SettlingCriterion(2, 0.0, 0.10 * math.pi, wrap_angle=True)
     import scipy.special  # noqa: F401  (no episode's time includes the import)
     for algo in ("mppi", "soppi"):
         cfg = dataclasses.replace(config.controller, seed=args.seed)

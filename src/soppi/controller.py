@@ -119,7 +119,8 @@ def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
     only the control term ``2R (u - u_ref[t])``.
 
     Equal to ``running_cost_gradients`` at the stepped state, chained through
-    ``control_jacobian``, to rounding (``TestLookaheadGradient``).
+    the control Jacobian of ``tests/oracles.py``, to rounding
+    (``TestLookaheadGradient``).
     """
     m = system.control_dim
     a, b = system._linearize(z)                            # (K, n), (K, n, m)

@@ -105,22 +105,6 @@ def terminal_cost(spec: CostSpec, state):
     return _quad(spec.state_error(state), spec.Q_T)
 
 
-def cost_to_go(spec: CostSpec, states, controls):
-    """Terminal cost of the last state plus summed running costs.
-
-    states has N+1 rows, controls has N; running cost t pairs states[t]
-    with controls[t].
-    """
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    if states.shape[0] != controls.shape[0] + 1:
-        raise ValueError("need len(states) == len(controls) + 1")
-    total = terminal_cost(spec, states[-1])
-    for t in range(controls.shape[0]):
-        total = total + running_cost(spec, states[t], controls[t], t)
-    return total
-
-
 def running_cost_gradients(spec: CostSpec, state, control, t: int = 0):
     """(d cost/d state, d cost/d control) = (2 Q e_x, 2 R e_u).
 

@@ -21,17 +21,17 @@ Every Jacobian differentiates the step itself by complex step (Martins,
 Sturdza & Alonso, "The complex-step derivative approximation", 2003): for a
 real-analytic f, ``f(x + ih) = f(x) + ih f'(x) + O(h^2)`` with no
 subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding once h is tiny.
-h is 2**-100, so dividing by it is exact.  :meth:`System.jacobians` probes
-the whole step; ``_linearize`` probes ``_advance`` along the controls only
-and returns the next state with its control Jacobian, which is what the SOPPI
-lookahead and :meth:`System.control_jacobian` use.  A system is therefore its
-step and nothing more.  Two spots of the cart-pole are not analytic and read
-the real part only: the friction sign, whose derivative is zero, and the
-force clamp, which keeps the probe's imaginary part only where the force
-passes (``|u| <= force_limit``), so a clamped force has a zero Jacobian
-column.  On real inputs both give the same bits as plain ``np.sign`` and
-``np.clip``.  The clamp is one hook, ``_clamp``, shared by ``_advance`` and
-the SOPPI lookahead.
+h is 2**-100, so dividing by it is exact.  ``_linearize`` probes
+``_advance`` along the controls only and returns the next state with its
+control Jacobian, which is what the SOPPI lookahead uses; the tests' full
+Jacobians probe the whole step the same way (``tests/oracles.py``).  A
+system is therefore its step and nothing more.  Two spots of the cart-pole
+are not analytic and read the real part only: the friction sign, whose
+derivative is zero, and the force clamp, which keeps the probe's imaginary
+part only where the force passes (``|u| <= force_limit``), so a clamped
+force has a zero Jacobian column.  On real inputs both give the same bits
+as plain ``np.sign`` and ``np.clip``.  The clamp is one hook, ``_clamp``,
+shared by ``_advance`` and the SOPPI lookahead.
 
 States and controls are plain numpy float vectors.  Cart-pole state order is
 ``(x [m], x_dot [m/s], theta [rad], theta_dot [rad/s])`` with ``theta = 0``
@@ -48,17 +48,6 @@ import numpy as np
 from .svgd import _require_finite, _require_positive
 
 _COMPLEX_STEP = 2.0 ** -100
-
-
-@dataclass(frozen=True)
-class Jacobians:
-    """Partial derivatives of the one-step map.
-
-    d_next_d_state is n x n, d_next_d_control is n x m.
-    """
-
-    d_next_d_state: np.ndarray
-    d_next_d_control: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,30 +119,11 @@ class System:
         return self.step_unchecked(*_check(self, state, control))
 
     def step_unchecked(self, state, control):
-        """As :meth:`step` but unvalidated, so that :meth:`jacobians` can
-        pass it complex probes."""
+        """As :meth:`step` but unvalidated, so that it takes complex-step
+        probes."""
         s = [state[..., i] for i in range(self.state_dim)]
         u = [control[..., j] for j in range(self.control_dim)]
         return np.stack(self._advance(self._prepare(s), u), axis=-1)
-
-    def jacobians(self, state, control) -> Jacobians:
-        """Exact Jacobians of :meth:`step` by complex step.
-
-        One batched step of the point plus ``ih`` along each of the n + m
-        inputs; the imaginary parts over h are the Jacobian's columns.  No
-        difference is taken, so nothing cancels, and the O(h^2) error is far
-        below rounding at h = 2**-100.  The non-analytic friction sign and
-        force clamp act on the real part (see the module docstring).
-        """
-        state, control = _check(self, state, control)
-        if state.ndim != 1:
-            raise ValueError("jacobians expects a single (unbatched) point")
-        n = self.state_dim
-        point = np.concatenate([state, control])
-        probe = point + 1j * _COMPLEX_STEP * np.eye(point.size)
-        out = self.step_unchecked(probe[:, :n], probe[:, n:])
-        jac = out.imag.T / _COMPLEX_STEP
-        return Jacobians(jac[:, :n].copy(), jac[:, n:].copy())
 
     def _linearize(self, z, u=None):
         """``(next, B)``: the next state ``(..., n)`` from prepared terms and
@@ -168,15 +138,6 @@ class System:
             out = np.stack(self._advance(z, probe), axis=-1)
             cols.append(out.imag)
         return out.real, np.stack(cols, axis=-1) / _COMPLEX_STEP
-
-    def control_jacobian(self, state, control):
-        """Batched d(next state)/d(control), shape ``(..., n, m)``; a
-        clamped control's column is zero."""
-        state = np.asarray(state, dtype=float)
-        control = np.asarray(control, dtype=float)
-        z = self._prepare([state[..., i] for i in range(self.state_dim)])
-        return self._linearize(
-            z, [control[..., j] for j in range(self.control_dim)])[1]
 
 
 class CartPole(System):
@@ -275,23 +236,6 @@ class Pendulum(System):
         acc = free + u[0] / (self.mass * self.length ** 2)
         om2 = om + acc * self.dt
         return (th + om2 * self.dt, om2)
-
-
-def rollout(system: System, x0, controls, length: int | None = None):
-    """Roll the system forward; returns ``(N+1, n)`` states including x0."""
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 1:
-        controls = controls[:, None]
-    n_steps = controls.shape[0]
-    if length is not None and length != n_steps:
-        raise ValueError(f"controls length {n_steps} != requested length {length}")
-    if n_steps < 1:
-        raise ValueError("rollout needs at least one control")
-    states = np.empty((n_steps + 1, system.state_dim))
-    states[0] = np.asarray(x0, dtype=float)
-    for t in range(n_steps):
-        states[t + 1] = system.step(states[t], controls[t])
-    return states
 
 
 _SYSTEMS = {

@@ -67,6 +67,13 @@ def _reject_unknown(section: dict, allowed: set, where: str):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _required(section: dict, key: str, where: str):
+    """section[key], or a ValueError naming the missing config key."""
+    if key not in section:
+        raise ValueError(f"config is missing {where}.{key}")
+    return section[key]
+
+
 def _as_array(value, name):
     """value as a float array, or a ValueError naming the config key."""
     try:
@@ -119,20 +126,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     sys_sec = raw["system"]
     _reject_unknown(sys_sec, {"id", "params"}, "system")
-    system = make_system(sys_sec["id"], sys_sec.get("params"))
+    system = make_system(_required(sys_sec, "id", "system"),
+                         sys_sec.get("params"))
 
     cost_sec = raw["cost"]
     _reject_unknown(cost_sec, {"Q", "R", "Q_T", "x_target", "u_ref",
                                "angle_dims"}, "cost")
     u_ref = cost_sec.get("u_ref")
     cost_spec = CostSpec(
-        Q=_as_matrix(cost_sec["Q"], "Q"),
-        R=_as_matrix(cost_sec["R"], "R"),
-        Q_T=_as_matrix(cost_sec["Q_T"], "Q_T"),
-        x_target=_as_array(cost_sec["x_target"], "cost.x_target"),
+        Q=_as_matrix(_required(cost_sec, "Q", "cost"), "Q"),
+        R=_as_matrix(_required(cost_sec, "R", "cost"), "R"),
+        Q_T=_as_matrix(_required(cost_sec, "Q_T", "cost"), "Q_T"),
+        x_target=_as_array(_required(cost_sec, "x_target", "cost"),
+                           "cost.x_target"),
         u_ref=None if u_ref is None else _as_array(u_ref, "cost.u_ref"),
         angle_dims=cost_sec.get("angle_dims", frozenset()),
     )
+    for name, dim in (("Q", system.state_dim), ("R", system.control_dim),
+                      ("Q_T", system.state_dim)):
+        size = len(getattr(cost_spec, name))   # CostSpec checked it square
+        if size != dim:
+            raise ValueError(f"cost.{name} must be {dim} x {dim} for "
+                             f"{sys_sec['id']}, got {size} x {size}")
 
     svgd_sec = dict(raw.get("svgd", {}))
     _reject_unknown(svgd_sec, {"step_size", "iterations", "bandwidth",
@@ -156,7 +171,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     exp_sec = raw["experiment"]
     _reject_unknown(exp_sec, {"algos", "n_trials", "base_seed", "t_total",
                               "x0", "out_dir"}, "experiment")
-    algos = exp_sec["algos"]
+    algos = _required(exp_sec, "algos", "experiment")
     known = sorted(_STEPPERS)
     if (not isinstance(algos, list) or not algos
             or any(a not in known or algos.count(a) > 1 for a in algos)):
@@ -180,7 +195,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(out_dir, str) or not out_dir:
         raise ValueError(f"experiment.out_dir must be a non-empty string, "
                          f"got {out_dir!r}")
-    x0 = _as_array(exp_sec["x0"], "experiment.x0")
+    x0 = _as_array(_required(exp_sec, "x0", "experiment"), "experiment.x0")
     if x0.shape != (system.state_dim,) or not np.isfinite(x0).all():
         raise ValueError("experiment.x0 must be finite with one entry per "
                          "state")
@@ -243,11 +258,11 @@ def default_metrics(config: ExperimentConfig):
             "ts_x_0.25m": ts(SettlingCriterion(0, 0.0, 0.25)),
             "ts_x_0.5m": ts(SettlingCriterion(0, 0.0, 0.5)),
             "ts_theta_2pct": ts(SettlingCriterion(
-                2, 0.0, 0.02, mode="fraction_of_range", wrap_angle=True)),
+                2, 0.0, 0.02 * math.pi, wrap_angle=True)),
             "ts_theta_5pct": ts(SettlingCriterion(
-                2, 0.0, 0.05, mode="fraction_of_range", wrap_angle=True)),
+                2, 0.0, 0.05 * math.pi, wrap_angle=True)),
             "ts_theta_10pct": ts(SettlingCriterion(
-                2, 0.0, 0.10, mode="fraction_of_range", wrap_angle=True)),
+                2, 0.0, 0.10 * math.pi, wrap_angle=True)),
         }
     n = config.system.state_dim
     tgt = config.cost_spec.x_target
@@ -303,7 +318,7 @@ def read_record_csv(path) -> TrialRecord:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     try:
         return TrialRecord(times=np.asarray(times), states=np.asarray(states),
-                           controls=np.asarray(controls))
+                           controls=np.reshape(controls, (len(controls), m)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

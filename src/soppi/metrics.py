@@ -46,31 +46,16 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SettlingCriterion:
-    """Band definition for a settling-time measurement.
-
-    mode "absolute": band is the half-width in signal units.
-    mode "fraction_of_range": half-width is band * step_range (the step
-    range is pi for the swing-up angle).
-    """
+    """Band for a settling-time measurement: the signal settles once it
+    stays within ``band`` (a half-width in signal units) of ``target``."""
 
     signal_index: int
     target: float
     band: float
-    mode: str = "absolute"
-    step_range: float = math.pi
     wrap_angle: bool = False
 
     def __post_init__(self):
         _require_positive(self.band, "band")
-        _require_positive(self.step_range, "step_range")
-        if self.mode not in ("absolute", "fraction_of_range"):
-            raise ValueError("mode must be 'absolute' or 'fraction_of_range'")
-
-    @property
-    def half_width(self) -> float:
-        if self.mode == "absolute":
-            return self.band
-        return self.band * self.step_range
 
 
 def _signal_error(record: TrialRecord, signal_index: int, target: float,
@@ -93,7 +78,7 @@ def settling_time(record: TrialRecord,
     """Earliest time the signal permanently enters the band, or None."""
     err = np.abs(_signal_error(record, criterion.signal_index,
                                criterion.target, criterion.wrap_angle))
-    inside = err <= criterion.half_width
+    inside = err <= criterion.band
     outside_idx = np.nonzero(~inside)[0]
     settle = 0 if outside_idx.size == 0 else int(outside_idx[-1]) + 1
     if settle >= len(inside):

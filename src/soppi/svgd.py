@@ -9,8 +9,8 @@ the negative scaled cost gradients (attraction) with the kernel gradient
                              + grad_{v_j} k(v_j, v_i) ]
 
 The kernel is the RBF ``exp(-||d||^2 / (2 sigma^2))`` of standard SVGD
-(Liu & Wang, 2016).  ``kernel`` and ``kernel_grad_wrt_first`` are the scalar
-pair definitions the two routines below are tested against.
+(Liu & Wang, 2016).  Its scalar pair definitions, against which the two
+routines below are tested, live with the tests (``tests/oracles.py``).
 
 ``stein_direction`` is the one entry point: it resolves the bandwidth (the
 fixed value, or ``median_bandwidth`` on the squared distances of one
@@ -115,23 +115,6 @@ class ParticleSet:
             raise ValueError("particles must be (K, m)")
         if self.grads.shape != self.particles.shape:
             raise ValueError("grads shape must match particles")
-
-
-def kernel(v_a, v_b, sigma_k: float):
-    """Kernel value in (0, 1]; symmetric in its arguments."""
-    v_a = np.asarray(v_a, dtype=float)
-    v_b = np.asarray(v_b, dtype=float)
-    if v_a.shape != v_b.shape:
-        raise ValueError("kernel arguments must have equal dimension")
-    _require_positive(sigma_k, "sigma_k")
-    d2 = np.dot(v_a - v_b, v_a - v_b)
-    return math.exp(-d2 / (2.0 * sigma_k ** 2))
-
-
-def kernel_grad_wrt_first(v_a, v_b, sigma_k: float):
-    """Exact gradient of the kernel with respect to its first argument."""
-    k = kernel(v_a, v_b, sigma_k)
-    return -(np.asarray(v_a, dtype=float) - v_b) / sigma_k ** 2 * k
 
 
 def _pairwise(p):

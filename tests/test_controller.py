@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from soppi import CartPole, CartPoleParams, ControllerConfig, CostSpec, \
-    DoubleIntegrator, Pendulum, SvgdConfig, compute_weights, cost_to_go, \
-    evaluate_batch, mppi_step, rollout, run_episode, soppi_step, \
-    update_nominal
+    DoubleIntegrator, Pendulum, SvgdConfig, compute_weights, \
+    evaluate_batch, mppi_step, run_episode, soppi_step, update_nominal
 from soppi import cost as cost_mod
 from soppi.sampling import draw_noise, perturb
 from soppi import controller as controller_mod
 from soppi.controller import _lookahead_gradient, _refine_controls
 from soppi.harness import DEFAULT_CARTPOLE_CONFIG, parse_config
 from soppi.svgd import ParticleSet, stein_direction
+from oracles import control_jacobian, cost_to_go, rollout
 
 
 def unstaged_refine_oracle(system, spec, cfg, x0, controls):
@@ -32,7 +32,7 @@ def unstaged_refine_oracle(system, spec, cfg, x0, controls):
                 x_next = system.step_unchecked(x, v)
                 d_state, d_control = cost_mod.running_cost_gradients(
                     spec, x_next, v, t)
-                b = system.control_jacobian(x, v)          # (K, n, m)
+                b = control_jacobian(system, x, v)         # (K, n, m)
                 grads = np.einsum("knm,kn->km", b, d_state) + d_control
                 ok = np.isfinite(grads).all(axis=1)
                 masked += int((~ok).sum())
@@ -331,7 +331,7 @@ _LOOKAHEAD_SYSTEMS = {
 
 class TestLookaheadGradient:
     """The affine lookahead's gradient against the chain rule:
-    ``running_cost_gradients`` at ``step_unchecked``, times
+    ``running_cost_gradients`` at ``step_unchecked``, times the oracle
     ``control_jacobian``."""
 
     # Entrywise, relative to the largest gradient entry: a thousand times
@@ -370,7 +370,7 @@ class TestLookaheadGradient:
         t = 3
         d_state, d_control = cost_mod.running_cost_gradients(
             spec, system.step_unchecked(x, v), v, t)
-        expected = np.einsum("knm,kn->km", system.control_jacobian(x, v),
+        expected = np.einsum("knm,kn->km", control_jacobian(system, x, v),
                              d_state) + d_control
         z = system._prepare([x[:, i] for i in range(system.state_dim)])
         got = _lookahead_gradient(system, spec, z, t)(v)

@@ -11,6 +11,8 @@ from soppi import controller, harness
 from soppi.cli import main as cli_main
 from soppi.metrics import TrialRecord
 
+MISSING = object()   # a config value that deletes its key
+
 
 def tiny_config():
     """Small cart-pole battery that runs in well under a second."""
@@ -512,17 +514,49 @@ class TestCli:
         ("cost", "u_ref", [[0.0]] * 4), ("cost", "u_ref", [[0.0]] * 6),
         ("experiment", "out_dir", 5), ("experiment", "out_dir", ""),
         ("experiment", "out_dir", ["res"]),
+        ("system", "id", MISSING), ("cost", "Q", MISSING),
+        ("cost", "R", MISSING), ("cost", "Q_T", MISSING),
+        ("cost", "x_target", MISSING), ("experiment", "algos", MISSING),
+        ("experiment", "x0", MISSING),
     ])
     def test_malformed_value_rejected_before_any_output(
             self, tmp_path, capsys, section, key, value):
         raw = tiny_config()
-        raw[section][key] = value
+        if value is MISSING:
+            del raw[section][key]
+        else:
+            raw[section][key] = value
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "res"
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cost", [
+        {"Q": [1.0, 1.0, 1.0], "Q_T": [1.0, 1.0, 1.0],
+         "x_target": [0.0, 0.0, 0.0]},
+        {"Q_T": [1.0, 1.0, 1.0]}, {"R": [1.0, 1.0]}],
+        ids=["Q", "Q_T", "R"])
+    def test_cost_sized_for_another_system_rejected_before_any_output(
+            self, tmp_path, capsys, cost):
+        # Sizes that agree with each other but not with the pendulum used
+        # to fail only in the first step, after the manifest was written.
+        raw = {"system": {"id": "pendulum", "params": {}},
+               "cost": {"Q": [1.0, 0.1], "R": [0.01], "Q_T": [10.0, 1.0],
+                        "x_target": [math.pi, 0.0], **cost},
+               "controller": {"K": 8, "horizon": 5, "lambda": 1.0,
+                              "sigma": 1.0},
+               "experiment": {"algos": ["mppi"], "n_trials": 1,
+                              "t_total": 0.1, "x0": [0.0, 0.0]}}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "res"
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        name = "Q" if "x_target" in cost else next(iter(cost))
+        assert f"error: cost.{name} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section", [None, "system", "cost",
@@ -663,6 +697,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert not (tmp_path / "plots").exists()
+
+    def test_plotdata_of_a_one_row_record(self, tmp_path):
+        # One state and no control: the controls are (0, m), not (0,).
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"record_files": {"mppi_trial_0.csv": "mppi"}}))
+        (tmp_path / "mppi_trial_0.csv").write_bytes(
+            b"t,state_0,state_1,u_0\r\n0,0,0,\r\n")
+        plots = tmp_path / "plots"
+        assert cli_main(["plotdata", "--in", str(tmp_path),
+                         "--out", str(plots)]) == 0
+        with open(plots / "plot_mppi_u_0.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["t", "trial_0"]]
+        with open(plots / "plot_mppi_state_1.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["t", "trial_0"], ["0", "0"]]
 
     def test_summarize_manifest_without_config_is_an_error_exit(
             self, tmp_path, capsys):

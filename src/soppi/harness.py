@@ -273,7 +273,7 @@ def default_metrics(config: ExperimentConfig):
 def write_record_csv(path, record: TrialRecord):
     """CSV with columns t, state_*, u_*; the last row has no control."""
     n = record.states.shape[1]
-    m = record.controls.shape[1] if record.controls.size else 1
+    m = record.controls.shape[1] if record.controls.ndim == 2 else 1
     header = (["t"] + [f"state_{i}" for i in range(n)]
               + [f"u_{j}" for j in range(m)])
     with open(path, "w", newline="") as fh:
@@ -299,6 +299,11 @@ def read_record_csv(path) -> TrialRecord:
             raise ValueError(f"{path}: empty record file")
         n = sum(1 for h in header if h.startswith("state_"))
         m = sum(1 for h in header if h.startswith("u_"))
+        names = (["t"] + [f"state_{i}" for i in range(n)]
+                 + [f"u_{j}" for j in range(m)])
+        if not n or not m or header[:len(names)] != names:
+            raise ValueError(f"{path}: header must begin t, state_0.., u_0.., "
+                             f"got {','.join(header)}")
         times, states, controls = [], [], []
         blank = None   # line of the row without a control: the last one
         for row in reader:

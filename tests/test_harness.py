@@ -34,6 +34,17 @@ def tiny_config():
     }
 
 
+def tiny_pendulum_config():
+    """One short MPPI trial on the pendulum."""
+    return {"system": {"id": "pendulum", "params": {}},
+            "cost": {"Q": [1.0, 0.1], "R": [0.01], "Q_T": [10.0, 1.0],
+                     "x_target": [math.pi, 0.0]},
+            "controller": {"K": 8, "horizon": 5, "lambda": 1.0,
+                           "sigma": 1.0},
+            "experiment": {"algos": ["mppi"], "n_trials": 1,
+                           "t_total": 0.1, "x0": [0.0, 0.0]}}
+
+
 class TestParseConfig:
     def test_roundtrip_fields(self):
         cfg = harness.parse_config(tiny_config())
@@ -178,6 +189,31 @@ class TestRecordCsv:
         path = tmp_path / "rec.csv"
         path.write_text("t,state_0,u_0\n")
         with pytest.raises(ValueError, match=f"^{path}: controls must be"):
+            harness.read_record_csv(path)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_row_record_keeps_its_control_width(self, tmp_path, m):
+        # A record of one state has no control row; its header alone says
+        # how many controls there are.
+        rec = TrialRecord(times=np.zeros(1), states=np.ones((1, 3)),
+                          controls=np.zeros((0, m)))
+        path = tmp_path / "rec.csv"
+        harness.write_record_csv(path, rec)
+        back = harness.read_record_csv(path)
+        assert back.controls.shape == (0, m)
+        np.testing.assert_array_equal(back.states, rec.states)
+
+    @pytest.mark.parametrize("header", ["t,state_0", "t,u_0,state_0"],
+                             ids=["no-control", "control-first"])
+    def test_header_not_in_the_written_order_is_rejected_naming_it(
+            self, tmp_path, header):
+        # Columns are read by position: without a control column the reader
+        # used to die with an IndexError, and with the control first it
+        # read the control as the state.
+        width = header.count(",") + 1
+        path = tmp_path / "rec.csv"
+        path.write_text(f"{header}\n" + f"{','.join(['0'] * width)}\n" * 2)
+        with pytest.raises(ValueError, match=f"^{path}: header must begin"):
             harness.read_record_csv(path)
 
     def test_first_row_without_a_control_is_rejected(self, tmp_path):
@@ -534,29 +570,26 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cost", [
-        {"Q": [1.0, 1.0, 1.0], "Q_T": [1.0, 1.0, 1.0],
-         "x_target": [0.0, 0.0, 0.0]},
-        {"Q_T": [1.0, 1.0, 1.0]}, {"R": [1.0, 1.0]}],
-        ids=["Q", "Q_T", "R"])
+    @pytest.mark.parametrize("cost,message", [
+        ({"Q": [1.0, 1.0, 1.0], "Q_T": [1.0, 1.0, 1.0],
+          "x_target": [0.0, 0.0, 0.0]}, "cost.Q must be"),
+        ({"Q_T": [1.0, 1.0, 1.0]}, "cost.Q_T must be"),
+        ({"R": [1.0, 1.0]}, "cost.R must be"),
+        ({"x_target": [0.0, 0.0, 0.0]}, "x_target dimension does not match"),
+        ({"u_ref": [[0.0, 0.0]] * 5}, "u_ref must be (horizon, control_dim)"),
+    ], ids=["Q", "Q_T", "R", "x_target", "u_ref"])
     def test_cost_sized_for_another_system_rejected_before_any_output(
-            self, tmp_path, capsys, cost):
+            self, tmp_path, capsys, cost, message):
         # Sizes that agree with each other but not with the pendulum used
         # to fail only in the first step, after the manifest was written.
-        raw = {"system": {"id": "pendulum", "params": {}},
-               "cost": {"Q": [1.0, 0.1], "R": [0.01], "Q_T": [10.0, 1.0],
-                        "x_target": [math.pi, 0.0], **cost},
-               "controller": {"K": 8, "horizon": 5, "lambda": 1.0,
-                              "sigma": 1.0},
-               "experiment": {"algos": ["mppi"], "n_trials": 1,
-                              "t_total": 0.1, "x0": [0.0, 0.0]}}
+        raw = tiny_pendulum_config()
+        raw["cost"].update(cost)
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "res"
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
-        name = "Q" if "x_target" in cost else next(iter(cost))
-        assert f"error: cost.{name} must be" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section", [None, "system", "cost",
@@ -711,6 +744,20 @@ class TestCli:
             assert list(csv.reader(fh)) == [["t", "trial_0"]]
         with open(plots / "plot_mppi_state_1.csv", newline="") as fh:
             assert list(csv.reader(fh)) == [["t", "trial_0"], ["0", "0"]]
+
+    def test_summarize_of_a_one_row_record(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"config": tiny_pendulum_config(),
+             "record_files": {"mppi_trial_0.csv": "mppi"}}))
+        (tmp_path / "mppi_trial_0.csv").write_bytes(
+            b"t,state_0,state_1,u_0\r\n0,0,0.5,\r\n")
+        assert cli_main(["summarize", "--in", str(tmp_path)]) == 0
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = {r["metric"]: r for r in csv.DictReader(fh)}
+        assert float(rows["mse_state_0"]["mean"]) == pytest.approx(
+            math.pi ** 2, rel=1e-12)
+        assert float(rows["mse_state_1"]["mean"]) == 0.25
+        assert rows["mse_state_0"]["n"] == "1"
 
     def test_summarize_manifest_without_config_is_an_error_exit(
             self, tmp_path, capsys):

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .controller import _STEPPERS
 
 
 def _cmd_run(args):
@@ -83,7 +84,7 @@ def build_parser():
     run = sub.add_parser("run", help="run a trial battery from a config file")
     run.add_argument("--config", required=True,
                      help="JSON config or run manifest")
-    run.add_argument("--algo", choices=["mppi", "soppi"],
+    run.add_argument("--algo", choices=sorted(_STEPPERS),
                      help="restrict to one algorithm")
     run.add_argument("--trials", type=int, help="override trial count")
     run.add_argument("--seed", type=int, help="override base seed")

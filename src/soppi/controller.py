@@ -100,7 +100,7 @@ def update_nominal(base: np.ndarray, noises: np.ndarray,
     return base + np.einsum("k,ktm->tm", weights, noises)
 
 
-def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
+def _lookahead_gradient(system: System, spec: CostSpec, z):
     """The gradient in the controls of the running cost one step ahead, as a
     function of the (K, m) controls, from the prepared terms ``z`` of the
     K sample states.
@@ -109,14 +109,12 @@ def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
     ``a + B u``, where ``a, B = System._linearize(z)`` are the step at u = 0
     and its control Jacobian, from one complex-step call.  The quadratic
     cost's gradient is therefore ``g0 + h u`` with
-    ``g0 = B' 2Q (a - x_target) - 2R u_ref[t]`` and ``h = B' 2Q B + 2R``,
-    fixed for the horizon step.  The angle wrap stays per call: on each
-    angle dimension i the wrapped error differs from
-    ``y_i = (a - x_target)_i + B_i u`` by a multiple of 2 pi, which adds
-    ``(2QB)_i (wrap(y_i) - y_i)``.  The swing-up starts on the wrap at
-    theta = pi, so it cannot be fixed per horizon step.  A control clamp
-    (``System._clamp``) clips u inside ``B u`` and, where it binds, leaves
-    only the control term ``2R (u - u_ref[t])``.
+    ``g0 = B' 2Q (a - x_target)`` and ``h = B' 2Q B + 2R``, fixed for the
+    horizon step.  The angle wrap stays per call: on each angle dimension i
+    the wrapped error differs from ``y_i = (a - x_target)_i + B_i u`` by a
+    multiple of 2 pi, which adds ``(2QB)_i (wrap(y_i) - y_i)``.  The
+    swing-up starts on the wrap at theta = pi, so it cannot be fixed per
+    horizon step.
 
     Equal to ``running_cost_gradients`` at the stepped state, chained through
     the control Jacobian of ``tests/oracles.py``, to rounding
@@ -127,24 +125,18 @@ def _lookahead_gradient(system: System, spec: CostSpec, z, t: int):
     e0 = a - spec.x_target
     # (2QB)' per sample, (K, m, n); tensordot makes it one matrix product.
     qb = np.tensordot(b, 2.0 * spec.Q, axes=(1, 1))
-    r2 = 2.0 * spec.R
-    r0 = spec.control_error(np.zeros(m), t) @ r2       # -2R u_ref[t], or 0
-    g0 = np.einsum("kn,kmn->km", e0, qb) + r0
-    h = np.einsum("kmn,knj->kmj", qb, b) + r2                      # (K, m, m)
+    g0 = np.einsum("kn,kmn->km", e0, qb)
+    h = np.einsum("kmn,knj->kmj", qb, b) + 2.0 * spec.R           # (K, m, m)
     # wrap(y) - y = 2 pi floor((pi - y) / 2 pi); floor is cheaper than mod.
     wraps = [((np.pi - e0[:, i]) / _TWO_PI, b[:, i] / -_TWO_PI,
               qb[:, :, i] * _TWO_PI) for i in spec._angle_idx]
 
     def gradient(v):
-        c, passes = system._clamp([v[:, j] for j in range(m)])
-        g = sum((h[:, :, j] * c[j][:, None] for j in range(m)), g0)
+        g = sum((h[:, :, j] * v[:, j, None] for j in range(m)), g0)
         for turns, slope, scale in wraps:
             # floor((pi - y_i) / 2 pi): the whole turns the wrap adds to y_i
-            n = np.floor(sum((slope[:, j] * c[j] for j in range(m)), turns))
+            n = np.floor(sum((slope[:, j] * v[:, j] for j in range(m)), turns))
             g += scale * n[:, None]
-        if passes is not None:
-            # 0 * inf stays NaN, so a diverged clamped row is still masked.
-            g = g * passes + (v @ r2 + r0) * ~passes
         return g
 
     return gradient
@@ -178,7 +170,7 @@ def _rollout(system: System, spec: CostSpec, svgd_cfg: SvgdConfig | None,
             v = controls[:, t, :]
             if sweeps:
                 v = v.copy()                   # contiguous for the sweeps
-                gradient = _lookahead_gradient(system, spec, z, t)
+                gradient = _lookahead_gradient(system, spec, z)
                 for _ in range(sweeps):
                     grads = gradient(v)
                     # All finite: a full slice keeps the Stein set a view.
@@ -188,7 +180,7 @@ def _rollout(system: System, spec: CostSpec, svgd_cfg: SvgdConfig | None,
                                           svgd_cfg)
                     v[rows] += svgd_cfg.step_size * phi
                 controls[:, t, :] = v
-            costs += cost_mod.running_cost(spec, x, v, t)
+            costs += cost_mod.running_cost(spec, x, v)
             x = np.stack(system._advance(z, [v[:, j] for j in range(m)]),
                          axis=-1)
         costs += cost_mod.terminal_cost(spec, x)

@@ -1,9 +1,9 @@
-"""Quadratic running/terminal/reference-tracking costs and their gradients.
+"""Quadratic running and terminal costs and the running cost's gradients.
 
-The running cost is ``e_x' Q e_x + e_u' R e_u`` with ``e_x`` the (angle
-wrapped) state error to the target and ``e_u`` the control error to the
-optional per-step reference; the terminal cost uses ``Q_T`` and no control
-term.  All functions accept numpy batches on the leading axes.
+The running cost is ``e' Q e + u' R u`` with ``e`` the (angle wrapped) state
+error to the target and ``u`` the control; the terminal cost uses ``Q_T``
+and no control term.  All functions accept numpy batches on the leading
+axes.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ class CostSpec:
     """Weights and targets of the quadratic cost.
 
     angle_dims lists state indices in [0, state_dim) whose error is wrapped
-    to (-pi, pi]; u_ref, when present, must have one row per horizon step.
+    to (-pi, pi].
     """
 
     Q: np.ndarray
     R: np.ndarray
     Q_T: np.ndarray
     x_target: np.ndarray
-    u_ref: np.ndarray | None = None
     angle_dims: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -52,10 +51,6 @@ class CostSpec:
         self.x_target = np.asarray(self.x_target, dtype=float)
         if self.x_target.shape != (self.Q.shape[0],):
             raise ValueError("x_target dimension does not match Q")
-        if self.u_ref is not None:
-            self.u_ref = np.asarray(self.u_ref, dtype=float)
-            if self.u_ref.ndim != 2 or self.u_ref.shape[1] != self.R.shape[0]:
-                raise ValueError("u_ref must be (horizon, control_dim)")
         n = self.Q.shape[0]
         dims = self.angle_dims
         if not isinstance(dims, (list, tuple, set, frozenset)) or any(
@@ -73,14 +68,6 @@ class CostSpec:
             e[..., i] = wrap_angle(e[..., i])
         return e
 
-    def control_error(self, control, t):
-        e = np.asarray(control, dtype=float)
-        if self.u_ref is not None:
-            if t >= self.u_ref.shape[0]:
-                raise ValueError(f"t={t} outside u_ref horizon")
-            e = e - self.u_ref[t]
-        return e
-
 
 def _quad(e, W):
     # e' W e per point; a matmul and a sum run about twice as fast as the
@@ -88,15 +75,14 @@ def _quad(e, W):
     return ((e @ W) * e).sum(axis=-1)
 
 
-def running_cost(spec: CostSpec, state, control, t: int = 0):
+def running_cost(spec: CostSpec, state, control):
     """Per-step cost; nonnegative for PSD weights."""
     if np.asarray(state).shape[-1] != spec.Q.shape[0]:
         raise ValueError("state dimension does not match Q")
     if np.asarray(control).shape[-1] != spec.R.shape[0]:
         raise ValueError("control dimension does not match R")
-    ex = spec.state_error(state)
-    eu = spec.control_error(control, t)
-    return _quad(ex, spec.Q) + _quad(eu, spec.R)
+    u = np.asarray(control, dtype=float)
+    return _quad(spec.state_error(state), spec.Q) + _quad(u, spec.R)
 
 
 def terminal_cost(spec: CostSpec, state):
@@ -105,8 +91,8 @@ def terminal_cost(spec: CostSpec, state):
     return _quad(spec.state_error(state), spec.Q_T)
 
 
-def running_cost_gradients(spec: CostSpec, state, control, t: int = 0):
-    """(d cost/d state, d cost/d control) = (2 Q e_x, 2 R e_u).
+def running_cost_gradients(spec: CostSpec, state, control):
+    """(d cost/d state, d cost/d control) = (2 Q e, 2 R u).
 
     Angle wrapping is locally the identity, so it does not alter the
     gradient away from the wrap discontinuity.
@@ -115,6 +101,5 @@ def running_cost_gradients(spec: CostSpec, state, control, t: int = 0):
         raise ValueError("state dimension does not match Q")
     if np.asarray(control).shape[-1] != spec.R.shape[0]:
         raise ValueError("control dimension does not match R")
-    ex = spec.state_error(state)
-    eu = spec.control_error(control, t)
-    return 2.0 * ex @ spec.Q, 2.0 * eu @ spec.R
+    u = np.asarray(control, dtype=float)
+    return 2.0 * spec.state_error(state) @ spec.Q, 2.0 * u @ spec.R

@@ -6,14 +6,14 @@ plain numpy, so it runs on floats, on batches of shape ``(..., n)`` and on
 complex inputs.
 
 Each system splits its step in two.  ``_prepare(s)`` computes the terms that
-depend on the state alone (for the cart-pole: sin/cos theta, the centripetal,
-friction and gravity terms and the denominator of the accelerations);
-``_advance(z, u)`` finishes the step from those terms and the control, in the
-same operation order as the undivided formula.  ``step_unchecked`` composes
-the two, so a single state evaluated once is bitwise equal to the prepared
-terms advanced with any control.  The SOPPI refinement, which evaluates one
-state under several controls, prepares once and advances per control.  The
-pendulum prepares its torque-free acceleration; the double integrator has no
+depend on the state alone (for the cart-pole: cos theta, the centripetal and
+gravity terms and the denominator of the accelerations); ``_advance(z, u)``
+finishes the step from those terms and the control, in the same operation
+order as the undivided formula.  ``step_unchecked`` composes the two, so a
+single state evaluated once is bitwise equal to the prepared terms advanced
+with any control.  The SOPPI refinement, which evaluates one state under
+several controls, prepares once and advances per control.  The pendulum
+prepares its torque-free acceleration; the double integrator has no
 state-only part and keeps the base-class default, which passes the state
 components through.
 
@@ -21,17 +21,11 @@ Every Jacobian differentiates the step itself by complex step (Martins,
 Sturdza & Alonso, "The complex-step derivative approximation", 2003): for a
 real-analytic f, ``f(x + ih) = f(x) + ih f'(x) + O(h^2)`` with no
 subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding once h is tiny.
-h is 2**-100, so dividing by it is exact.  ``_linearize`` probes
-``_advance`` along the controls only and returns the next state with its
-control Jacobian, which is what the SOPPI lookahead uses; the tests' full
-Jacobians probe the whole step the same way (``tests/oracles.py``).  A
-system is therefore its step and nothing more.  Two spots of the cart-pole
-are not analytic and read the real part only: the friction sign, whose
-derivative is zero, and the force clamp, which keeps the probe's imaginary
-part only where the force passes (``|u| <= force_limit``), so a clamped
-force has a zero Jacobian column.  On real inputs both give the same bits
-as plain ``np.sign`` and ``np.clip``.  The clamp is one hook, ``_clamp``,
-shared by ``_advance`` and the SOPPI lookahead.
+h is 2**-100, so dividing by it is exact.  Every step here is real-analytic.
+``_linearize`` probes ``_advance`` along the controls only and returns the
+next state with its control Jacobian, which is what the SOPPI lookahead
+uses; the tests' full Jacobians probe the whole step the same way
+(``tests/oracles.py``).  A system is therefore its step and nothing more.
 
 States and controls are plain numpy float vectors.  Cart-pole state order is
 ``(x [m], x_dot [m/s], theta [rad], theta_dot [rad/s])`` with ``theta = 0``
@@ -52,28 +46,18 @@ _COMPLEX_STEP = 2.0 ** -100
 
 @dataclass(frozen=True)
 class CartPoleParams:
-    """Physical parameters of the cart-pole (Florian-style model).
-
-    Friction coefficients default to zero; the force clamp is off unless
-    ``force_limit`` is set.
-    """
+    """Physical parameters of the cart-pole (Florian-style model)."""
 
     cart_mass: float = 1.0
     pole_mass: float = 0.1
     pole_half_length: float = 0.5
     gravity: float = 9.8
     dt: float = 0.02
-    force_limit: float | None = None
-    cart_friction: float = 0.0
-    pole_friction: float = 0.0
 
     def __post_init__(self):
         for name in ("cart_mass", "pole_mass", "pole_half_length", "dt"):
             _require_positive(getattr(self, name), name)
-        for name in ("gravity", "cart_friction", "pole_friction"):
-            _require_finite(getattr(self, name), name)
-        if self.force_limit is not None:
-            _require_positive(self.force_limit, "force_limit")
+        _require_finite(self.gravity, "gravity")
 
 
 def _check(system, state, control):
@@ -107,12 +91,6 @@ class System:
     def _advance(self, z, u):
         """Next-state components from prepared terms and control components."""
         raise NotImplementedError
-
-    def _clamp(self, u):
-        """``(clamped, passes)``: the control components after the control
-        clamp, and a ``(..., m)`` mask of the entries it lets through.
-        Systems without a clamp return ``(u, None)``."""
-        return u, None
 
     def step(self, state, control):
         """One semi-implicit Euler step.  Accepts ``(..., n)`` batches."""
@@ -161,35 +139,21 @@ class CartPole(System):
         half = p.pole_half_length
         st, ct = np.sin(th), np.cos(th)
         spin = p.pole_mass * half * thd * thd * st
-        slide = p.cart_friction * np.sign(np.real(xd))
         pull = p.gravity * st
-        drag = p.pole_friction * thd / (p.pole_mass * half)
         denom = half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt)
-        return (x, xd, th, thd, ct, spin, slide, pull, drag, denom)
+        return (x, xd, th, thd, ct, spin, pull, denom)
 
     def _advance(self, z, u):
         p = self.params
-        x, xd, th, thd, ct, spin, slide, pull, drag, denom = z
-        (force,), _ = self._clamp(u)
+        x, xd, th, thd, ct, spin, pull, denom = z
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
-        temp = (force + spin - slide) / mt
-        th_acc = (pull - ct * temp - drag) / denom
+        temp = (u[0] + spin) / mt
+        th_acc = (pull - ct * temp) / denom
         x_acc = temp - p.pole_mass * half * th_acc * ct / mt
         xd2 = xd + x_acc * p.dt
         thd2 = thd + th_acc * p.dt
         return (x + xd2 * p.dt, xd2, th + thd2 * p.dt, thd2)
-
-    def _clamp(self, u):
-        lim = self.params.force_limit
-        if lim is None:
-            return u, None
-        # Clamp the real part; a complex-step probe keeps its imaginary part
-        # where the force passes.  NaN passes, as it fails no bound.
-        real = np.real(u[0])
-        passes = ~(np.abs(real) > lim)
-        return [np.where(passes, u[0], np.clip(real, -lim, lim))], \
-            passes[..., None]
 
 
 class DoubleIntegrator(System):
@@ -209,27 +173,23 @@ class DoubleIntegrator(System):
 
 
 class Pendulum(System):
-    """Damped pendulum, theta = 0 hanging down; control is a torque."""
+    """Undamped pendulum, theta = 0 hanging down; control is a torque."""
 
     state_dim = 2
     control_dim = 1
 
-    def __init__(self, mass=1.0, length=1.0, gravity=9.8, damping=0.0,
-                 dt=0.02):
+    def __init__(self, mass=1.0, length=1.0, gravity=9.8, dt=0.02):
         for name, value in (("mass", mass), ("length", length), ("dt", dt)):
             _require_positive(value, name)
-        for name, value in (("gravity", gravity), ("damping", damping)):
-            _require_finite(value, name)
+        _require_finite(gravity, "gravity")
         self.mass = mass
         self.length = length
         self.gravity = gravity
-        self.damping = damping
         self.dt = dt
 
     def _prepare(self, s):
         th, om = s
-        return (th, om,
-                -(self.gravity / self.length) * np.sin(th) - self.damping * om)
+        return (th, om, -(self.gravity / self.length) * np.sin(th))
 
     def _advance(self, z, u):
         th, om, free = z

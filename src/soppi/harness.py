@@ -130,16 +130,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          sys_sec.get("params"))
 
     cost_sec = raw["cost"]
-    _reject_unknown(cost_sec, {"Q", "R", "Q_T", "x_target", "u_ref",
-                               "angle_dims"}, "cost")
-    u_ref = cost_sec.get("u_ref")
+    _reject_unknown(cost_sec, {"Q", "R", "Q_T", "x_target", "angle_dims"},
+                    "cost")
     cost_spec = CostSpec(
         Q=_as_matrix(_required(cost_sec, "Q", "cost"), "Q"),
         R=_as_matrix(_required(cost_sec, "R", "cost"), "R"),
         Q_T=_as_matrix(_required(cost_sec, "Q_T", "cost"), "Q_T"),
         x_target=_as_array(_required(cost_sec, "x_target", "cost"),
                            "cost.x_target"),
-        u_ref=None if u_ref is None else _as_array(u_ref, "cost.u_ref"),
         angle_dims=cost_sec.get("angle_dims", frozenset()),
     )
     for name, dim in (("Q", system.state_dim), ("R", system.control_dim),
@@ -155,15 +153,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     svgd_cfg = SvgdConfig(**svgd_sec)
 
     ctrl_sec = dict(raw["controller"])
-    _reject_unknown(ctrl_sec, {"K", "horizon", "lambda", "sigma", "seed"},
+    _reject_unknown(ctrl_sec, {"K", "horizon", "lambda", "sigma"},
                     "controller")
     if "lambda" in ctrl_sec:
         ctrl_sec["lambda_"] = ctrl_sec.pop("lambda")
     controller = ControllerConfig(svgd=svgd_cfg, **ctrl_sec)
-    if u_ref is not None and len(cost_spec.u_ref) != controller.horizon:
-        raise ValueError(f"cost.u_ref must have controller.horizon = "
-                         f"{controller.horizon} rows, got "
-                         f"{len(cost_spec.u_ref)}")
     if np.shape(controller.sigma) not in ((), (1,), (system.control_dim,)):
         raise ValueError(f"controller.sigma must broadcast to the "
                          f"{system.control_dim} controls")

@@ -67,8 +67,6 @@ def _signal_error(record: TrialRecord, signal_index: int, target: float,
 def mse(record: TrialRecord, signal_index: int, target: float,
         wrap: bool = False) -> float:
     """Mean squared (optionally angle-wrapped) error over all timesteps."""
-    if len(record.states) == 0:
-        raise ValueError("empty record")
     e = _signal_error(record, signal_index, target, wrap)
     return float(np.mean(e * e))
 

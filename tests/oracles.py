@@ -43,8 +43,7 @@ def jacobians(system, state, control):
     One batched step of the point plus ``ih`` along each of the n + m
     inputs; the imaginary parts over h are the Jacobian's columns.  No
     difference is taken, so nothing cancels, and the O(h^2) error is far
-    below rounding at h = 2**-100.  The non-analytic friction sign and
-    force clamp act on the real part (see ``soppi.dynamics``).
+    below rounding at h = 2**-100.
     """
     state, control = _check(system, state, control)
     n = system.state_dim
@@ -57,7 +56,7 @@ def jacobians(system, state, control):
 
 def control_jacobian(system, state, control):
     """Batched d(next state)/d(control), shape ``(..., n, m)``, from
-    ``System._linearize``; a clamped control's column is zero."""
+    ``System._linearize``."""
     state = np.asarray(state, dtype=float)
     control = np.asarray(control, dtype=float)
     z = system._prepare([state[..., i] for i in range(system.state_dim)])
@@ -86,5 +85,5 @@ def cost_to_go(spec, states, controls):
     controls = np.asarray(controls, dtype=float)
     total = terminal_cost(spec, states[-1])
     for t in range(controls.shape[0]):
-        total = total + running_cost(spec, states[t], controls[t], t)
+        total = total + running_cost(spec, states[t], controls[t])
     return total

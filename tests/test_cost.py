@@ -42,14 +42,6 @@ class TestRunningCost:
         assert running_cost(spec, state, control) == pytest.approx(
             expected, rel=1e-12)
 
-    def test_u_ref_tracking(self):
-        u_ref = np.array([[1.0], [2.0]])
-        spec = CostSpec(Q=np.zeros((2, 2)), R=np.eye(1), Q_T=np.zeros((2, 2)),
-                        x_target=np.zeros(2), u_ref=u_ref)
-        assert running_cost(spec, np.zeros(2), np.array([1.0]), t=0) == 0.0
-        assert running_cost(spec, np.zeros(2), np.array([1.0]),
-                            t=1) == pytest.approx(1.0)
-
     def test_dimension_mismatch(self, identity_spec):
         with pytest.raises(ValueError):
             running_cost(identity_spec, np.zeros(3), np.zeros(1))
@@ -100,7 +92,7 @@ class TestCostToGo:
         states = rng.normal(size=(6, 4))
         controls = rng.normal(size=(5, 1))
         total = cost_to_go(identity_spec, states, controls)
-        partial = sum(running_cost(identity_spec, states[t], controls[t], t)
+        partial = sum(running_cost(identity_spec, states[t], controls[t])
                       for t in range(5))
         partial += terminal_cost(identity_spec, states[5])
         assert total == pytest.approx(partial, rel=1e-12)
@@ -161,11 +153,6 @@ class TestValidation:
         spec = CostSpec(Q=np.eye(4), R=np.eye(1), Q_T=np.eye(4),
                         x_target=np.zeros(4), angle_dims=dims)
         assert spec.angle_dims == frozenset(int(i) for i in dims)
-
-    def test_rejects_bad_u_ref_shape(self):
-        with pytest.raises(ValueError, match="u_ref"):
-            CostSpec(Q=np.eye(2), R=np.eye(1), Q_T=np.eye(2),
-                     x_target=np.zeros(2), u_ref=np.zeros((3, 2)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soppi import CartPole, CartPoleParams, DoubleIntegrator, Pendulum
+from soppi import CartPole, DoubleIntegrator, Pendulum
 from soppi.dynamics import make_system
 from conftest import central_diff_jacobian
 from oracles import control_jacobian, jacobians, rollout
@@ -30,9 +30,6 @@ def florian_cartpole_oracle(params, state, force):
     ("pendulum", "length", np.inf), ("pendulum", "dt", -0.02),
     ("pendulum", "mass", np.nan), ("double_integrator", "dt", np.nan),
     ("cartpole", "gravity", np.nan), ("pendulum", "gravity", np.inf),
-    ("pendulum", "damping", np.nan), ("cartpole", "cart_friction", np.inf),
-    ("cartpole", "pole_friction", -np.inf), ("cartpole", "force_limit", 0.0),
-    ("cartpole", "force_limit", -5.0), ("cartpole", "force_limit", np.inf),
 ])
 def test_bad_parameter_rejected(system_id, name, value):
     with pytest.raises(ValueError, match=name):
@@ -77,34 +74,17 @@ class TestCartPoleStep:
         with pytest.raises(ValueError, match="dimension"):
             cartpole.step(np.zeros(3), np.zeros(1))
 
-    def test_force_limit_clamps(self):
-        limited = CartPole(CartPoleParams(force_limit=5.0))
-        free = CartPole()
-        x = np.array([0.0, 0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(limited.step(x, np.array([50.0])),
-                                      free.step(x, np.array([5.0])))
-
-    def test_friction_slows_cart(self):
-        fric = CartPole(CartPoleParams(cart_friction=0.5))
-        x = np.array([0.0, 1.0, np.pi, 0.0])
-        assert fric.step(x, np.zeros(1))[1] < CartPole().step(x, np.zeros(1))[1]
-
 
 def undivided_cartpole_step(params, s, u):
-    """The cart-pole step before its prepare/advance split, kept verbatim
-    as a bitwise oracle for the operation order."""
+    """The cart-pole step before its prepare/advance split, as a bitwise
+    oracle for the operation order."""
     p = params
     x, xd, th, thd = s
-    force = u[0]
-    if p.force_limit is not None:
-        force = np.clip(force, -p.force_limit, p.force_limit)
     mt = p.cart_mass + p.pole_mass
     half = p.pole_half_length
     st, ct = np.sin(th), np.cos(th)
-    temp = (force + p.pole_mass * half * thd * thd * st
-            - p.cart_friction * np.sign(xd)) / mt
-    th_acc = (p.gravity * st - ct * temp
-              - p.pole_friction * thd / (p.pole_mass * half)) / (
+    temp = (u[0] + p.pole_mass * half * thd * thd * st) / mt
+    th_acc = (p.gravity * st - ct * temp) / (
         half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt))
     x_acc = temp - p.pole_mass * half * th_acc * ct / mt
     xd2 = xd + x_acc * p.dt
@@ -112,32 +92,23 @@ def undivided_cartpole_step(params, s, u):
     return np.stack((x + xd2 * p.dt, xd2, th + thd2 * p.dt, thd2), axis=-1)
 
 
-_PARAMS = [CartPoleParams(), CartPoleParams(force_limit=5.0),
-           CartPoleParams(cart_friction=0.3, pole_friction=0.05),
-           CartPoleParams(force_limit=5.0, cart_friction=0.3,
-                          pole_friction=0.05)]
-
-
 def _components(a):
     return [a[..., i] for i in range(a.shape[-1])]
 
 
 class TestPreparedStep:
-    @pytest.mark.parametrize("params", _PARAMS)
-    def test_cartpole_matches_undivided_formula_bitwise(self, params):
-        system = CartPole(params)
+    def test_cartpole_matches_undivided_formula_bitwise(self, cartpole):
         rng = np.random.default_rng(11)
         states = rng.normal(scale=3.0, size=(200, 4))
-        states[:5, 1] = 0.0                      # sign(x_dot) == 0
         controls = rng.normal(scale=10.0, size=(200, 1))
-        got = system.step_unchecked(states, controls)
-        expected = undivided_cartpole_step(params, _components(states),
+        got = cartpole.step_unchecked(states, controls)
+        expected = undivided_cartpole_step(cartpole.params,
+                                           _components(states),
                                            _components(controls))
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("system", [CartPole(CartPoleParams(
-        force_limit=5.0, cart_friction=0.3, pole_friction=0.05)),
-        Pendulum(damping=0.1), DoubleIntegrator(0.05)],
+    @pytest.mark.parametrize("system", [
+        CartPole(), Pendulum(), DoubleIntegrator(0.05)],
         ids=["cartpole", "pendulum", "double_integrator"])
     @pytest.mark.parametrize("batch", [(), (7,)], ids=["scalar", "batch"])
     def test_advance_of_prepared_matches_step_unchecked(self, system, batch):
@@ -217,29 +188,6 @@ class TestJacobians:
                 batch[i], jacobians(cartpole, states[i], controls[i])[1],
                 rtol=1e-12, atol=1e-15)
 
-    def test_force_limited_control_jacobian_agrees_with_duals(self):
-        # Saturated rows have a zero Jacobian; both kinds occur here.  The
-        # last four controls sit on the clamp's kinks: a force of exactly
-        # +-limit still passes through, one ulp outside it saturates.
-        limit = 5.0
-        system = CartPole(CartPoleParams(force_limit=limit))
-        rng = np.random.default_rng(9)
-        states = rng.normal(size=(12, 4))
-        controls = rng.normal(scale=6.0, size=(12, 1))
-        controls[8:, 0] = [limit, -limit, np.nextafter(limit, np.inf),
-                           np.nextafter(-limit, -np.inf)]
-        saturated = np.abs(controls[:, 0]) > limit
-        assert saturated[:8].any() and not saturated[:8].all()
-        np.testing.assert_array_equal(saturated[8:],
-                                      [False, False, True, True])
-        batch = control_jacobian(system, states, controls)
-        for i in range(12):
-            np.testing.assert_allclose(
-                batch[i], jacobians(system, states[i], controls[i])[1],
-                rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(batch[saturated], 0.0)
-        assert np.all(batch[~saturated] != 0.0)
-
     def test_pendulum_closed_form_agrees(self, pendulum):
         state = np.array([0.3, -1.0])
         control = np.array([0.5])
@@ -290,11 +238,7 @@ class TestRollout:
 @given(st.integers(0, 2 ** 32 - 1))
 def test_jacobian_fd_property(seed):
     rng = np.random.default_rng(seed)
-    # The last system has both frictions and a force clamp; its friction
-    # sign has a zero derivative away from x_dot = 0.
-    system = [CartPole(), Pendulum(), DoubleIntegrator(0.05),
-              CartPole(CartPoleParams(cart_friction=0.3, pole_friction=0.05,
-                                      force_limit=4.0))][seed % 4]
+    system = [CartPole(), Pendulum(), DoubleIntegrator(0.05)][seed % 3]
     state = rng.normal(scale=1.5, size=system.state_dim)
     control = rng.normal(scale=3.0, size=system.control_dim)
     a, b = jacobians(system, state, control)

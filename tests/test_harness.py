@@ -88,16 +88,6 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown keys"):
             harness.parse_config(raw)
 
-    @pytest.mark.parametrize("rows", [1, 4, 6])
-    def test_u_ref_needs_one_row_per_horizon_step(self, rows):
-        raw = tiny_config()
-        raw["cost"]["u_ref"] = [[0.5]] * rows
-        with pytest.raises(ValueError, match="u_ref.*horizon = 5"):
-            harness.parse_config(raw)
-        raw["cost"]["u_ref"] = [[0.5]] * 5
-        np.testing.assert_array_equal(
-            harness.parse_config(raw).cost_spec.u_ref, np.full((5, 1), 0.5))
-
     def test_missing_section(self):
         raw = tiny_config()
         del raw["cost"]
@@ -140,7 +130,6 @@ class TestParseConfig:
     @pytest.mark.parametrize("base_seed", [2**63 - 2, -2**63])
     def test_seeds_at_the_int64_edges_run(self, tmp_path, base_seed):
         raw = tiny_config()
-        raw["controller"]["seed"] = base_seed
         raw["experiment"].update(base_seed=base_seed, n_trials=2,
                                  algos=["mppi"], t_total=0.04)
         cfg = harness.parse_config(raw)
@@ -512,11 +501,12 @@ class TestCli:
 
     @pytest.mark.parametrize("section,key,value", [
         ("controller", "K", 2.5), ("controller", "K", True),
-        ("controller", "horizon", 2.5), ("controller", "seed", 1.5),
+        ("controller", "horizon", 2.5), ("controller", "seed", 0),
         ("svgd", "iterations", 2.5), ("svgd", "bandwidth", True),
         ("experiment", "n_trials", 2.7), ("experiment", "base_seed", "0"),
-        ("experiment", "base_seed", 2**63), ("controller", "seed", 2**63),
-        ("controller", "seed", -2**63 - 1),
+        ("experiment", "base_seed", 2**63),
+        ("system.params", "force_limit", 5.0),
+        ("system.params", "cart_friction", 0.3),
         ("experiment", "algos", ["cem"]),
         ("experiment", "algos", ["soppi", "soppi"]),
         ("controller", "sigma", 0), ("controller", "sigma", -1.0),
@@ -543,11 +533,12 @@ class TestCli:
         ("system", "params", {"foo": 1}),
         ("cost", "Q", {"a": 1.0}), ("cost", "R", {"a": 1.0}),
         ("cost", "Q_T", {"a": 1.0}), ("cost", "x_target", {"a": 1.0}),
-        ("cost", "u_ref", {"a": 1.0}), ("experiment", "x0", {"a": 1.0}),
+        ("cost", "u_ref", [[0.0]] * 5), ("experiment", "x0", {"a": 1.0}),
         ("cost", "angle_dims", 2), ("cost", "angle_dims", [7]),
         ("cost", "angle_dims", [-1]), ("cost", "angle_dims", [2.5]),
         ("cost", "angle_dims", [True]), ("cost", "angle_dims", "2"),
-        ("cost", "u_ref", [[0.0]] * 4), ("cost", "u_ref", [[0.0]] * 6),
+        ("system.params", "pole_friction", 0.05),
+        ("pendulum:system.params", "damping", 0.1),
         ("experiment", "out_dir", 5), ("experiment", "out_dir", ""),
         ("experiment", "out_dir", ["res"]),
         ("system", "id", MISSING), ("cost", "Q", MISSING),
@@ -557,11 +548,17 @@ class TestCli:
     ])
     def test_malformed_value_rejected_before_any_output(
             self, tmp_path, capsys, section, key, value):
-        raw = tiny_config()
+        # section is a dotted path into the cart-pole config, or into the
+        # pendulum config after "pendulum:".
+        base, _, path = section.rpartition(":")
+        raw = tiny_pendulum_config() if base == "pendulum" else tiny_config()
+        target = raw
+        for part in path.split("."):
+            target = target[part]
         if value is MISSING:
-            del raw[section][key]
+            del target[key]
         else:
-            raw[section][key] = value
+            target[key] = value
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "res"
@@ -576,8 +573,7 @@ class TestCli:
         ({"Q_T": [1.0, 1.0, 1.0]}, "cost.Q_T must be"),
         ({"R": [1.0, 1.0]}, "cost.R must be"),
         ({"x_target": [0.0, 0.0, 0.0]}, "x_target dimension does not match"),
-        ({"u_ref": [[0.0, 0.0]] * 5}, "u_ref must be (horizon, control_dim)"),
-    ], ids=["Q", "Q_T", "R", "x_target", "u_ref"])
+    ], ids=["Q", "Q_T", "R", "x_target"])
     def test_cost_sized_for_another_system_rejected_before_any_output(
             self, tmp_path, capsys, cost, message):
         # Sizes that agree with each other but not with the pendulum used

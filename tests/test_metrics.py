@@ -32,6 +32,10 @@ class TestTrialRecord:
         with pytest.raises(ValueError, match="one shorter"):
             TrialRecord(times=np.arange(3.0), states=np.zeros((3, 1)),
                         controls=np.zeros((3, 1)))
+        # So no record without a state reaches the metrics.
+        with pytest.raises(ValueError, match="one shorter"):
+            TrialRecord(times=np.zeros(0), states=np.zeros((0, 1)),
+                        controls=np.zeros((0, 1)))
 
     def test_rejects_nonmonotone_times(self):
         with pytest.raises(ValueError, match="increasing"):

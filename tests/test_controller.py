@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from soppi import CartPole, ControllerConfig, CostSpec, \
+from soppi import CartPole, CartPoleParams, ControllerConfig, CostSpec, \
     DoubleIntegrator, Pendulum, SvgdConfig, compute_weights, \
     evaluate_batch, mppi_step, run_episode, soppi_step, update_nominal
 from soppi import cost as cost_mod
@@ -301,9 +301,18 @@ class TestSoppiStep:
 
 
 _CARTPOLE_Q = np.diag([1.25, 1.0, 12.0, 0.25])
+# Besides the defaults, a cart-pole and a pendulum whose parameters move
+# every prepared constant, and a cart-pole started off rest.
+_HEAVY_POLE = CartPole(CartPoleParams(cart_mass=0.7, pole_mass=0.4,
+                                      pole_half_length=0.8, gravity=9.81,
+                                      dt=0.01))
+_LONG_PENDULUM = Pendulum(mass=0.4, length=1.5, gravity=9.81, dt=0.05)
 _STAGED_CASES = {
     "cartpole": (CartPole(), np.array([0.0, 0.0, np.pi, 0.0])),
+    "cartpole_heavy_pole": (_HEAVY_POLE, np.array([0.0, 0.0, np.pi, 0.0])),
+    "cartpole_swinging": (CartPole(), np.array([0.1, 0.4, 2.5, -0.3])),
     "pendulum": (Pendulum(), np.array([0.3, -0.2])),
+    "pendulum_long": (_LONG_PENDULUM, np.array([0.3, -0.2])),
     "double_integrator": (DoubleIntegrator(0.05), np.array([1.0, -0.5])),
 }
 
@@ -317,7 +326,9 @@ def _staged_spec(system):
 
 _LOOKAHEAD_SYSTEMS = {
     "cartpole": CartPole(),
+    "cartpole_heavy_pole": _HEAVY_POLE,
     "pendulum": Pendulum(),
+    "pendulum_long": _LONG_PENDULUM,
     "double_integrator": DoubleIntegrator(0.05),
 }
 

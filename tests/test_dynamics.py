@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soppi import CartPole, DoubleIntegrator, Pendulum
+from soppi import CartPole, CartPoleParams, DoubleIntegrator, Pendulum
 from soppi.dynamics import make_system
 from conftest import central_diff_jacobian
 from oracles import control_jacobian, jacobians, rollout
@@ -30,6 +30,9 @@ def florian_cartpole_oracle(params, state, force):
     ("pendulum", "length", np.inf), ("pendulum", "dt", -0.02),
     ("pendulum", "mass", np.nan), ("double_integrator", "dt", np.nan),
     ("cartpole", "gravity", np.nan), ("pendulum", "gravity", np.inf),
+    ("cartpole", "cart_mass", -1.0), ("cartpole", "pole_mass", np.inf),
+    ("cartpole", "pole_half_length", 0.0), ("cartpole", "dt", -np.inf),
+    ("cartpole", "gravity", -np.inf), ("double_integrator", "dt", 0.0),
 ])
 def test_bad_parameter_rejected(system_id, name, value):
     with pytest.raises(ValueError, match=name):
@@ -75,6 +78,26 @@ class TestCartPoleStep:
             cartpole.step(np.zeros(3), np.zeros(1))
 
 
+@pytest.mark.parametrize("system", [
+    CartPole(), Pendulum(), DoubleIntegrator(0.05)],
+    ids=["cartpole", "pendulum", "double_integrator"])
+def test_next_state_is_affine_in_the_control(system):
+    # Nothing clamps the control: for a fixed state the step is affine in
+    # it, out to forces far beyond any the controllers draw.  Entrywise,
+    # relative to the largest next-state entry: about two hundred times the
+    # largest gap seen (4.8e-16).
+    rng = np.random.default_rng(21)
+    states = rng.normal(scale=2.0, size=(50, system.state_dim))
+    u = rng.normal(scale=5.0, size=(50, 1))
+    big = np.full((50, 1), 1e3)
+    zero = system.step(states, np.zeros((50, 1)))
+    slope = (system.step(states, big) - zero) / 1e3
+    for controls in (u, -big, 3.0 * big):
+        got = system.step(states, controls)
+        np.testing.assert_allclose(got, zero + slope * controls, rtol=0.0,
+                                   atol=1e-13 * np.abs(got).max())
+
+
 def undivided_cartpole_step(params, s, u):
     """The cart-pole step before its prepare/advance split, as a bitwise
     oracle for the operation order."""
@@ -96,14 +119,23 @@ def _components(a):
     return [a[..., i] for i in range(a.shape[-1])]
 
 
+# The default and three sets that move every prepared constant off it.
+_PARAMS = [CartPoleParams(),
+           CartPoleParams(cart_mass=0.7, pole_mass=0.4, pole_half_length=0.8),
+           CartPoleParams(gravity=1.62, dt=0.05),
+           CartPoleParams(cart_mass=2.5, pole_mass=0.05,
+                          pole_half_length=0.3, gravity=-9.8, dt=0.01)]
+
+
 class TestPreparedStep:
-    def test_cartpole_matches_undivided_formula_bitwise(self, cartpole):
+    @pytest.mark.parametrize("params", _PARAMS)
+    def test_cartpole_matches_undivided_formula_bitwise(self, params):
+        system = CartPole(params)
         rng = np.random.default_rng(11)
         states = rng.normal(scale=3.0, size=(200, 4))
         controls = rng.normal(scale=10.0, size=(200, 1))
-        got = cartpole.step_unchecked(states, controls)
-        expected = undivided_cartpole_step(cartpole.params,
-                                           _components(states),
+        got = system.step_unchecked(states, controls)
+        expected = undivided_cartpole_step(params, _components(states),
                                            _components(controls))
         assert got.tobytes() == expected.tobytes()
 
@@ -187,6 +219,22 @@ class TestJacobians:
             np.testing.assert_allclose(
                 batch[i], jacobians(cartpole, states[i], controls[i])[1],
                 rtol=1e-12, atol=1e-15)
+
+    def test_large_force_control_jacobian_agrees_with_duals(self, cartpole):
+        # Forces far past any clamp a cart-pole might carry keep the same
+        # nonzero column as small ones: nothing saturates.
+        rng = np.random.default_rng(9)
+        states = rng.normal(size=(12, 4))
+        controls = rng.normal(scale=6.0, size=(12, 1))
+        controls[8:, 0] = [50.0, -50.0, 1e4, -1e4]
+        batch = control_jacobian(cartpole, states, controls)
+        for i in range(12):
+            np.testing.assert_allclose(
+                batch[i], jacobians(cartpole, states[i], controls[i])[1],
+                rtol=1e-12, atol=1e-15)
+        # The step is affine in the force, so its column ignores the force.
+        np.testing.assert_array_equal(
+            batch, control_jacobian(cartpole, states, np.zeros((12, 1))))
 
     def test_pendulum_closed_form_agrees(self, pendulum):
         state = np.array([0.3, -1.0])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from soppi import controller, harness
-from soppi.cli import main as cli_main
+from soppi.cli import build_parser, main as cli_main
 from soppi.metrics import TrialRecord
 
 MISSING = object()   # a config value that deletes its key
@@ -489,6 +489,23 @@ class TestCli:
             manifest = json.load(fh)
         assert manifest["trial_seeds"] == [7]
         assert set(manifest["record_files"]) == {"mppi_trial_0.csv"}
+
+    @pytest.mark.parametrize("algo", sorted(controller._STEPPERS))
+    def test_each_stepper_is_an_algo_choice(self, algo):
+        args = build_parser().parse_args(["run", "--config", "c.json",
+                                          "--algo", algo])
+        assert args.algo == algo
+
+    def test_unknown_algo_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--algo", "cem",
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cem'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_is_an_error_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

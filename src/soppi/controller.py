@@ -100,13 +100,12 @@ def update_nominal(base: np.ndarray, noises: np.ndarray,
     return base + np.einsum("k,ktm->tm", weights, noises)
 
 
-def _lookahead_gradient(system: System, spec: CostSpec, z):
-    """The gradient in the controls of the running cost one step ahead, as a
-    function of the (K, m) controls, from the prepared terms ``z`` of the
-    K sample states.
+def _lookahead_gradient(system: System, spec: CostSpec, x):
+    """The gradient in the controls of the running cost one step ahead of
+    the (K, n) sample states x, as a function of the (K, m) controls.
 
     Over one Euler step every system is control-affine: the next state is
-    ``a + B u``, where ``a, B = System._linearize(z)`` are the step at u = 0
+    ``a + B u``, where ``a, B = System._linearize(x)`` are the step at u = 0
     and its control Jacobian, from one complex-step call.  The quadratic
     cost's gradient is therefore ``g0 + h u`` with
     ``g0 = B' 2Q (a - x_target)`` and ``h = B' 2Q B + 2R``, fixed for the
@@ -121,7 +120,7 @@ def _lookahead_gradient(system: System, spec: CostSpec, z):
     (``TestLookaheadGradient``).
     """
     m = system.control_dim
-    a, b = system._linearize(z)                            # (K, n), (K, n, m)
+    a, b = system._linearize(x)                            # (K, n), (K, n, m)
     e0 = a - spec.x_target
     # (2QB)' per sample, (K, m, n); tensordot makes it one matrix product.
     qb = np.tensordot(b, 2.0 * spec.Q, axes=(1, 1))
@@ -147,18 +146,18 @@ def _rollout(system: System, spec: CostSpec, svgd_cfg: SvgdConfig | None,
     """Roll the (K, N, m) samples out from x0, each horizon step's K control
     particles first moved by ``sweeps`` SVGD sweeps.
 
-    The sample states stay fixed during a horizon step's sweeps, so their
-    state-only terms (``System._prepare``) and the affine lookahead
-    (``_lookahead_gradient``) are built once per horizon step; this equals
-    stepping the states afresh every sweep to rounding
-    (``TestStagedRefinement``).  A sample with a non-finite gradient (a
-    diverged rollout) is left out of that sweep's Stein set.  With zero
-    sweeps nothing is copied or built.
+    The sample states stay fixed during a horizon step's sweeps, so the
+    affine lookahead (``_lookahead_gradient``) is built once per horizon
+    step; this equals stepping the states afresh every sweep to rounding
+    (``TestStagedRefinement``).  Each step of the states is one
+    ``System.step_unchecked`` call, and so is each lookahead.  A sample with
+    a non-finite gradient (a diverged rollout) is left out of that sweep's
+    Stein set.  With zero sweeps nothing is copied or built.
 
     Returns ``(controls, costs)``: the refined controls (the given array
     with zero sweeps) and their cost-to-go, +inf where the rollout diverged.
     """
-    K, N, m = controls.shape
+    K, N, _ = controls.shape
     if sweeps:
         controls = controls.copy()
     x = np.broadcast_to(np.asarray(x0, dtype=float),
@@ -166,11 +165,10 @@ def _rollout(system: System, spec: CostSpec, svgd_cfg: SvgdConfig | None,
     costs = np.zeros(K)
     with np.errstate(all="ignore"):
         for t in range(N):
-            z = system._prepare([x[:, i] for i in range(system.state_dim)])
             v = controls[:, t, :]
             if sweeps:
                 v = v.copy()                   # contiguous for the sweeps
-                gradient = _lookahead_gradient(system, spec, z)
+                gradient = _lookahead_gradient(system, spec, x)
                 for _ in range(sweeps):
                     grads = gradient(v)
                     # All finite: a full slice keeps the Stein set a view.
@@ -181,8 +179,7 @@ def _rollout(system: System, spec: CostSpec, svgd_cfg: SvgdConfig | None,
                     v[rows] += svgd_cfg.step_size * phi
                 controls[:, t, :] = v
             costs += cost_mod.running_cost(spec, x, v)
-            x = np.stack(system._advance(z, [v[:, j] for j in range(m)]),
-                         axis=-1)
+            x = system.step_unchecked(x, v)
         costs += cost_mod.terminal_cost(spec, x)
     return controls, _mark_diverged(costs)
 

@@ -1,30 +1,20 @@
-"""Discrete-time dynamics with exact Jacobians.
+"""Discrete-time dynamics: one Euler step per system.
 
 Every system integrates with semi-implicit Euler (velocities first), which is
-stable at the 0.02 s step used by the cart-pole benchmark.  The step code is
-plain numpy, so it runs on floats, on batches of shape ``(..., n)`` and on
-complex inputs.
+stable at the 0.02 s step used by the cart-pole benchmark.  A system writes
+its step once, as ``_advance(s, u)`` on the lists of state and control
+components; ``step_unchecked`` unpacks ``(..., n)`` states and ``(..., m)``
+controls into those lists and stacks the result.  The step code is plain
+numpy, so it runs on floats, on broadcast batches and on complex inputs.
 
-Each system splits its step in two.  ``_prepare(s)`` computes the terms that
-depend on the state alone (for the cart-pole: cos theta, the centripetal and
-gravity terms and the denominator of the accelerations); ``_advance(z, u)``
-finishes the step from those terms and the control, in the same operation
-order as the undivided formula.  ``step_unchecked`` composes the two, so a
-single state evaluated once is bitwise equal to the prepared terms advanced
-with any control.  The SOPPI refinement, which evaluates one state under
-several controls, prepares once and advances per control.  The pendulum
-prepares its torque-free acceleration; the double integrator has no
-state-only part and keeps the base-class default, which passes the state
-components through.
-
-Every Jacobian differentiates the step itself by complex step (Martins,
-Sturdza & Alonso, "The complex-step derivative approximation", 2003): for a
-real-analytic f, ``f(x + ih) = f(x) + ih f'(x) + O(h^2)`` with no
-subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding once h is tiny.
-h is 2**-100, so dividing by it is exact.  Every step here is real-analytic.
-``_linearize`` probes ``_advance`` along the controls only and returns the
-next state with its control Jacobian, which is what the SOPPI lookahead
-uses; the tests' full Jacobians probe the whole step the same way
+The SOPPI lookahead's control Jacobian differentiates the step itself by
+complex step (Martins, Sturdza & Alonso, "The complex-step derivative
+approximation", 2003): for a real-analytic f, ``f(x + ih) = f(x) + ih f'(x)
++ O(h^2)`` with no subtraction, so ``Im f(x + ih) / h`` is f'(x) to rounding
+once h is tiny.  h is 2**-100, so dividing by it is exact.  Every step here
+is real-analytic.  ``_linearize`` steps each state once under the m controls
+``ih e_j`` and returns the next state at zero control with its control
+Jacobian; the tests' full Jacobians probe the state the same way
 (``tests/oracles.py``).  A system is therefore its step and nothing more.
 
 States and controls are plain numpy float vectors.  Cart-pole state order is
@@ -75,21 +65,14 @@ def _check(system, state, control):
 
 
 class System:
-    """Base class: a pure one-step map with exact Jacobians."""
+    """Base class: a pure one-step map."""
 
     state_dim: int
     control_dim: int
     dt: float
 
-    def _prepare(self, s):
-        """State-only terms of the step, from the unpacked state components.
-
-        The default keeps the components themselves.
-        """
-        return s
-
-    def _advance(self, z, u):
-        """Next-state components from prepared terms and control components."""
+    def _advance(self, s, u):
+        """Next-state components from state and control components."""
         raise NotImplementedError
 
     def step(self, state, control):
@@ -98,24 +81,19 @@ class System:
 
     def step_unchecked(self, state, control):
         """As :meth:`step` but unvalidated, so that it takes complex-step
-        probes."""
+        probes; state and control batch shapes broadcast."""
         s = [state[..., i] for i in range(self.state_dim)]
         u = [control[..., j] for j in range(self.control_dim)]
-        return np.stack(self._advance(self._prepare(s), u), axis=-1)
+        return np.stack(self._advance(s, u), axis=-1)
 
-    def _linearize(self, z, u=None):
-        """``(next, B)``: the next state ``(..., n)`` from prepared terms and
-        control components ``u`` (zero if None), and its control Jacobian
-        ``(..., n, m)``, by one complex-step ``_advance`` per control."""
-        m = self.control_dim
-        u = [0.0] * m if u is None else u
-        cols = []
-        for j in range(m):
-            probe = list(u)
-            probe[j] = probe[j] + 1j * _COMPLEX_STEP
-            out = np.stack(self._advance(z, probe), axis=-1)
-            cols.append(out.imag)
-        return out.real, np.stack(cols, axis=-1) / _COMPLEX_STEP
+    def _linearize(self, x):
+        """``(next, B)``: the next state ``(..., n)`` of the states x at zero
+        control, and its control Jacobian ``(..., n, m)``, from one
+        complex-step call."""
+        probe = 1j * _COMPLEX_STEP * np.eye(self.control_dim)
+        out = self.step_unchecked(x[..., None, :], probe)     # (..., m, n)
+        b = np.swapaxes(out.imag, -1, -2) / _COMPLEX_STEP
+        return out[..., 0, :].real, b
 
 
 class CartPole(System):
@@ -132,24 +110,15 @@ class CartPole(System):
         self.params = params
         self.dt = params.dt
 
-    def _prepare(self, s):
+    def _advance(self, s, u):
         p = self.params
         x, xd, th, thd = s
         mt = p.cart_mass + p.pole_mass
         half = p.pole_half_length
         st, ct = np.sin(th), np.cos(th)
-        spin = p.pole_mass * half * thd * thd * st
-        pull = p.gravity * st
-        denom = half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt)
-        return (x, xd, th, thd, ct, spin, pull, denom)
-
-    def _advance(self, z, u):
-        p = self.params
-        x, xd, th, thd, ct, spin, pull, denom = z
-        mt = p.cart_mass + p.pole_mass
-        half = p.pole_half_length
-        temp = (u[0] + spin) / mt
-        th_acc = (pull - ct * temp) / denom
+        temp = (u[0] + p.pole_mass * half * thd * thd * st) / mt
+        th_acc = (p.gravity * st - ct * temp) / (
+            half * (4.0 / 3.0 - p.pole_mass * ct * ct / mt))
         x_acc = temp - p.pole_mass * half * th_acc * ct / mt
         xd2 = xd + x_acc * p.dt
         thd2 = thd + th_acc * p.dt
@@ -166,8 +135,8 @@ class DoubleIntegrator(System):
         _require_positive(dt, "dt")
         self.dt = dt
 
-    def _advance(self, z, u):
-        x, v = z
+    def _advance(self, s, u):
+        x, v = s
         v2 = v + u[0] * self.dt
         return (x + v2 * self.dt, v2)
 
@@ -187,13 +156,10 @@ class Pendulum(System):
         self.gravity = gravity
         self.dt = dt
 
-    def _prepare(self, s):
+    def _advance(self, s, u):
         th, om = s
-        return (th, om, -(self.gravity / self.length) * np.sin(th))
-
-    def _advance(self, z, u):
-        th, om, free = z
-        acc = free + u[0] / (self.mass * self.length ** 2)
+        acc = (-(self.gravity / self.length) * np.sin(th)
+               + u[0] / (self.mass * self.length ** 2))
         om2 = om + acc * self.dt
         return (th + om2 * self.dt, om2)
 

@@ -267,7 +267,7 @@ def default_metrics(config: ExperimentConfig):
 def write_record_csv(path, record: TrialRecord):
     """CSV with columns t, state_*, u_*; the last row has no control."""
     n = record.states.shape[1]
-    m = record.controls.shape[1] if record.controls.ndim == 2 else 1
+    m = record.controls.shape[1]
     header = (["t"] + [f"state_{i}" for i in range(n)]
               + [f"u_{j}" for j in range(m)])
     with open(path, "w", newline="") as fh:
@@ -316,7 +316,8 @@ def read_record_csv(path) -> TrialRecord:
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     try:
-        return TrialRecord(times=np.asarray(times), states=np.asarray(states),
+        return TrialRecord(times=np.asarray(times),
+                           states=np.reshape(states, (len(states), n)),
                            controls=np.reshape(controls, (len(controls), m)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

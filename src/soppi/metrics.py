@@ -36,6 +36,9 @@ class TrialRecord:
     controls: np.ndarray  # (T, m)
 
     def __post_init__(self):
+        if (np.ndim(self.times), np.ndim(self.states),
+                np.ndim(self.controls)) != (1, 2, 2):
+            raise ValueError("times must be 1-D, states and controls 2-D")
         if len(self.states) != len(self.times):
             raise ValueError("states and times must have equal length")
         if len(self.controls) != len(self.states) - 1:

@@ -54,14 +54,11 @@ def jacobians(system, state, control):
     return jac[:, :n].copy(), jac[:, n:].copy()
 
 
-def control_jacobian(system, state, control):
+def control_jacobian(system, state):
     """Batched d(next state)/d(control), shape ``(..., n, m)``, from
-    ``System._linearize``."""
-    state = np.asarray(state, dtype=float)
-    control = np.asarray(control, dtype=float)
-    z = system._prepare([state[..., i] for i in range(system.state_dim)])
-    return system._linearize(
-        z, [control[..., j] for j in range(system.control_dim)])[1]
+    ``System._linearize``; every step is affine in the control, so it does
+    not depend on the control."""
+    return system._linearize(np.asarray(state, dtype=float))[1]
 
 
 def rollout(system, x0, controls):

@@ -5,8 +5,8 @@ up by.  A rename that drops one of those names would break the benchmark
 silently, so these tests load ``spans.py`` as it is (read-only, no bytecode
 written next to it) and check that every name it patches or calls resolves,
 that its probes put the originals back, and that a traced threaded battery
-records the Stein calls with their pair counts and one median-bandwidth call
-inside each.
+records the Stein calls with their pair counts, one median-bandwidth call
+inside each, and every Euler step of the rollouts.
 """
 
 import importlib.util
@@ -105,3 +105,34 @@ def test_traced_threaded_battery_counts_stein_pairs(spans, tmp_path):
     assert len(log.steps) == 2 * soppi_steps
     assert all(ok for _, _, _, ok, _, _ in log.steps)
     assert np.isfinite([ess for *_, ess, _ in log.steps]).all()
+
+
+def test_traced_battery_records_every_rollout_step(spans, tmp_path):
+    # Per controller step: one step_unchecked per horizon step of the
+    # rollout, one more per horizon step for SOPPI's lookahead, and outside
+    # the controller step the true-dynamics step of the episode.
+    K, horizon, iterations = 6, 4, 2
+    config = _pendulum_config(K, horizon, iterations)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        harness.run_experiment(config, tmp_path, workers=2)
+
+    by_id = {sid: (parent, name, info)
+             for sid, parent, name, _, _, info in tracer.spans}
+    per_step = {sid: 0 for sid, (_, name, _) in by_id.items()
+                if name == "controller.step"}
+    outside = 0
+    for parent, name, _ in by_id.values():
+        if name != "dynamics.step_unchecked":
+            continue
+        while parent is not None and by_id[parent][1] != "controller.step":
+            parent = by_id[parent][0]
+        if parent is None:
+            outside += 1
+        else:
+            per_step[parent] += 1
+    steps = config.n_trials * config.n_steps
+    assert len(per_step) == 2 * steps
+    assert outside == 2 * steps
+    assert sorted((by_id[sid][2], n) for sid, n in per_step.items()) == \
+        [("mppi", horizon)] * steps + [("soppi", 2 * horizon)] * steps

@@ -33,7 +33,7 @@ def unstaged_refine_oracle(system, spec, cfg, x0, controls):
                 x_next = system.step_unchecked(x, v)
                 d_state, d_control = cost_mod.running_cost_gradients(
                     spec, x_next, v)
-                b = control_jacobian(system, x, v)         # (K, n, m)
+                b = control_jacobian(system, x)            # (K, n, m)
                 grads = np.einsum("knm,kn->km", b, d_state) + d_control
                 ok = np.isfinite(grads).all(axis=1)
                 masked += int((~ok).sum())
@@ -370,10 +370,9 @@ class TestLookaheadGradient:
         spec, x, v, angle = self._inputs(system)
         d_state, d_control = cost_mod.running_cost_gradients(
             spec, system.step_unchecked(x, v), v)
-        expected = np.einsum("knm,kn->km", control_jacobian(system, x, v),
+        expected = np.einsum("knm,kn->km", control_jacobian(system, x),
                              d_state) + d_control
-        z = system._prepare([x[:, i] for i in range(system.state_dim)])
-        got = _lookahead_gradient(system, spec, z)(v)
+        got = _lookahead_gradient(system, spec, x)(v)
         np.testing.assert_allclose(got, expected, rtol=0.0,
                                    atol=self.TOL * np.abs(expected).max())
         if angle is not None:
@@ -395,10 +394,8 @@ class TestStagedRefinement:
     @pytest.mark.parametrize("sigma", [5.0, 5000.0])
     @pytest.mark.parametrize("bandwidth", [5.0, "median"])
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
-    def test_matches_unstaged_loop_bitwise(self, name, bandwidth, sigma,
-                                           monkeypatch):
-        # The name is historical: the refined controls match the oracle to
-        # TOL since the lookahead became affine; the costs stay bitwise.
+    def test_matches_unstaged_loop(self, name, bandwidth, sigma,
+                                   monkeypatch):
         system, x0 = _STAGED_CASES[name]
         spec = _staged_spec(system)
         K, N = 128, 12
@@ -437,12 +434,11 @@ class TestStagedRefinement:
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))
     def test_lookahead_is_built_once_per_horizon_step(self, name, sweeps,
                                                       monkeypatch):
-        # Per horizon step: one preparation, one linearization, and two
-        # advances (the linearization's complex-step probe and the refined
-        # step), whatever the sweep count; the sweeps never call the cost
-        # gradient.
+        # Per horizon step: one linearization and two Euler steps (the
+        # linearization's complex-step probe and the refined step), whatever
+        # the sweep count; the sweeps never call the cost gradient.
         system, x0 = _STAGED_CASES[name]
-        calls = {"_prepare": 0, "_linearize": 0, "_advance": 0}
+        calls = {"_linearize": 0, "_advance": 0}
         for attr in calls:
             def counted(*args, _fn=getattr(system, attr), _attr=attr):
                 calls[_attr] += 1
@@ -462,7 +458,7 @@ class TestStagedRefinement:
                                                         5.0))
         _refine_controls(system, _staged_spec(system), cfg, x0, controls,
                          sweeps)
-        assert calls == {"_prepare": N, "_linearize": N, "_advance": 2 * N}
+        assert calls == {"_linearize": N, "_advance": 2 * N}
 
     @pytest.mark.parametrize("sigma", [5.0, 1e5])
     @pytest.mark.parametrize("name", sorted(_STAGED_CASES))

@@ -1,6 +1,7 @@
 """The package imports only the standard library, numpy and scipy, and
-imports scipy only inside the functions that use it; and it holds no code
-that only the tests call."""
+imports scipy only inside the functions that use it; it holds no code that
+only the tests call; and only ``soppi.dynamics`` knows how a system's step
+is written."""
 
 import ast
 import sys
@@ -83,6 +84,15 @@ def references(path):
                 continue
             refs.setdefault(name, set()).add((path, owner))
     return refs
+
+
+def test_step_protocol_stays_in_dynamics():
+    # Outside soppi.dynamics a system is stepped through step_unchecked or
+    # _linearize, never through the per-component _advance.
+    outside = [path.name for path in SOURCES if path.name != "dynamics.py"
+               and "_advance" in references(path)]
+    assert not outside, (f"{outside} reference _advance; step through "
+                         f"System.step_unchecked")
 
 
 def test_every_package_definition_has_a_caller_outside_the_tests():

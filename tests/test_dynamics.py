@@ -99,8 +99,8 @@ def test_next_state_is_affine_in_the_control(system):
 
 
 def undivided_cartpole_step(params, s, u):
-    """The cart-pole step before its prepare/advance split, as a bitwise
-    oracle for the operation order."""
+    """The cart-pole step written as one formula, as a bitwise oracle for
+    the operation order."""
     p = params
     x, xd, th, thd = s
     mt = p.cart_mass + p.pole_mass
@@ -119,7 +119,7 @@ def _components(a):
     return [a[..., i] for i in range(a.shape[-1])]
 
 
-# The default and three sets that move every prepared constant off it.
+# The default and three sets that move every parameter-derived constant.
 _PARAMS = [CartPoleParams(),
            CartPoleParams(cart_mass=0.7, pole_mass=0.4, pole_half_length=0.8),
            CartPoleParams(gravity=1.62, dt=0.05),
@@ -127,7 +127,7 @@ _PARAMS = [CartPoleParams(),
                           pole_half_length=0.3, gravity=-9.8, dt=0.01)]
 
 
-class TestPreparedStep:
+class TestEulerStep:
     @pytest.mark.parametrize("params", _PARAMS)
     def test_cartpole_matches_undivided_formula_bitwise(self, params):
         system = CartPole(params)
@@ -142,33 +142,26 @@ class TestPreparedStep:
     @pytest.mark.parametrize("system", [
         CartPole(), Pendulum(), DoubleIntegrator(0.05)],
         ids=["cartpole", "pendulum", "double_integrator"])
-    @pytest.mark.parametrize("batch", [(), (7,)], ids=["scalar", "batch"])
-    def test_advance_of_prepared_matches_step_unchecked(self, system, batch):
-        # One preparation serves every control, as in the SOPPI sweeps.  The
-        # complex-step linearization of the same terms gives the same next
-        # state (the cart-pole's complex division rounds differently) and
-        # the Jacobian of the whole step.
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 3)],
+                             ids=["scalar", "batch", "grid"])
+    def test_linearize_matches_step_and_oracle_jacobian(self, system, batch):
+        # The complex-step linearization gives the step at zero control (the
+        # cart-pole's complex division rounds differently) and the control
+        # Jacobian of the whole step.
         rng = np.random.default_rng(12)
         state = rng.normal(scale=2.0, size=batch + (system.state_dim,))
-        z = system._prepare(_components(state))
-        for _ in range(4):
-            control = rng.normal(scale=8.0,
-                                 size=batch + (system.control_dim,))
-            got = np.stack(system._advance(z, _components(control)), axis=-1)
-            expected = system.step_unchecked(state, control)
-            assert got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
-            nxt, b = system._linearize(z, _components(control))
-            assert nxt.shape == expected.shape
-            if isinstance(system, CartPole):
-                np.testing.assert_allclose(nxt, expected, rtol=1e-15, atol=0)
-            else:
-                assert nxt.tobytes() == expected.tobytes()
-            assert b.shape == batch + (system.state_dim, system.control_dim)
-            for i in np.ndindex(batch):
-                np.testing.assert_allclose(
-                    b[i], jacobians(system, state[i], control[i])[1],
-                    rtol=1e-12)
+        zero = np.zeros(batch + (system.control_dim,))
+        nxt, b = system._linearize(state)
+        expected = system.step_unchecked(state, zero)
+        assert nxt.shape == expected.shape
+        if isinstance(system, CartPole):
+            np.testing.assert_allclose(nxt, expected, rtol=1e-15, atol=0)
+        else:
+            assert nxt.tobytes() == expected.tobytes()
+        assert b.shape == batch + (system.state_dim, system.control_dim)
+        for i in np.ndindex(batch):
+            assert b[i].tobytes() == \
+                jacobians(system, state[i], zero[i])[1].tobytes()
 
 
 class TestJacobians:
@@ -206,14 +199,14 @@ class TestJacobians:
         state = rng.normal(scale=2.0, size=4)
         control = rng.normal(scale=5.0, size=1)
         exact = jacobians(cartpole, state, control)[1]
-        closed = control_jacobian(cartpole, state, control)
+        closed = control_jacobian(cartpole, state)
         np.testing.assert_allclose(closed, exact, rtol=1e-12, atol=1e-15)
 
     def test_batched_control_jacobian(self, cartpole):
         rng = np.random.default_rng(8)
         states = rng.normal(size=(5, 4))
         controls = rng.normal(size=(5, 1))
-        batch = control_jacobian(cartpole, states, controls)
+        batch = control_jacobian(cartpole, states)
         assert batch.shape == (5, 4, 1)
         for i in range(5):
             np.testing.assert_allclose(
@@ -227,20 +220,21 @@ class TestJacobians:
         states = rng.normal(size=(12, 4))
         controls = rng.normal(scale=6.0, size=(12, 1))
         controls[8:, 0] = [50.0, -50.0, 1e4, -1e4]
-        batch = control_jacobian(cartpole, states, controls)
+        batch = control_jacobian(cartpole, states)
         for i in range(12):
-            np.testing.assert_allclose(
-                batch[i], jacobians(cartpole, states[i], controls[i])[1],
-                rtol=1e-12, atol=1e-15)
-        # The step is affine in the force, so its column ignores the force.
-        np.testing.assert_array_equal(
-            batch, control_jacobian(cartpole, states, np.zeros((12, 1))))
+            column = jacobians(cartpole, states[i], controls[i])[1]
+            np.testing.assert_allclose(batch[i], column, rtol=1e-12,
+                                       atol=1e-15)
+            # The step is affine in the force, so its column ignores the
+            # force.
+            np.testing.assert_array_equal(
+                column, jacobians(cartpole, states[i], np.zeros(1))[1])
 
     def test_pendulum_closed_form_agrees(self, pendulum):
         state = np.array([0.3, -1.0])
         control = np.array([0.5])
         np.testing.assert_allclose(
-            control_jacobian(pendulum, state, control),
+            control_jacobian(pendulum, state),
             jacobians(pendulum, state, control)[1], rtol=1e-12)
 
 

@@ -37,6 +37,18 @@ class TestTrialRecord:
             TrialRecord(times=np.zeros(0), states=np.zeros((0, 1)),
                         controls=np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("times,states,controls", [
+        ([0.0, 0.02, 0.04], np.zeros((3, 2)), np.array([1.0, 2.0])),
+        ([0.0, 0.02, 0.04], np.zeros(3), np.zeros((2, 1))),
+        (np.zeros((3, 1)), np.zeros((3, 2)), np.zeros((2, 1))),
+        ([0.0, 0.02, 0.04], np.zeros((3, 2, 1)), np.zeros((2, 1))),
+    ], ids=["1d-controls", "1d-states", "2d-times", "3d-states"])
+    def test_rejects_wrong_rank(self, times, states, controls):
+        # The CSV and plot writers index a row of states and of controls;
+        # a 1-D array there used to pass and crash them.
+        with pytest.raises(ValueError, match="1-D, states and controls 2-D"):
+            TrialRecord(times=times, states=states, controls=controls)
+
     def test_rejects_nonmonotone_times(self):
         with pytest.raises(ValueError, match="increasing"):
             TrialRecord(times=np.array([0.0, 0.2, 0.1]),
